@@ -203,13 +203,6 @@ def summarize(rows: list[dict]) -> dict:
     return out
 
 
-from repro.harness.benchdiff import (GATED_METRICS,  # noqa: E402
-                                     check_cells, load_bench_source)
-
-#: per-cell ratios the --check gate enforces (shared with benchdiff)
-GATE_METRICS = GATED_METRICS
-
-
 def check(rows: list[dict], baseline_path: str, tolerance: float) -> int:
     """Gate freshly measured rows against a recorded snapshot.
 
@@ -218,6 +211,9 @@ def check(rows: list[dict], baseline_path: str, tolerance: float) -> int:
     :mod:`repro.harness.benchdiff` (and the service's ``/bench``
     endpoint), so every consumer fails with identical messages.
     """
+    # imported here: the --worker subprocess runs this file against a
+    # seed-tree ``repro`` that predates the module
+    from repro.harness.benchdiff import check_cells, load_bench_source
     recorded = load_bench_source(baseline_path)
     failures = check_cells(rows, recorded, tolerance=tolerance,
                            source=baseline_path)

@@ -29,7 +29,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from ..core.power_fsm import PowerState
-from ..core.routing import Decision, Hold, Route
+from ..core.routing import HOLD, Decision, Route
 from ..noc.buffer import VCState
 from ..noc.mechanism import Mechanism
 from ..noc.types import OPPOSITE, Direction, Flit, Packet
@@ -59,6 +59,9 @@ class BypassRing:
         self.order = serpentine_order(net.cfg.width, net.cfg.height)
         self.pos = {n: i for i, n in enumerate(self.order)}
         self.queues: list[deque] = [deque() for _ in self.order]
+        #: bitmask of ring slots whose queue is non-empty (derived state:
+        #: :meth:`step` walks its set bits instead of every slot)
+        self.busy = 0
         self.packets_carried = 0
         self.hops_total = 0
 
@@ -70,25 +73,40 @@ class BypassRing:
         self.packets_carried += 1
         if pkt.inject_time < 0:
             pkt.inject_time = now
-        self.queues[self.pos[at_node]].append((now + self.HOP_CYCLES, pkt))
+        slot = self.pos[at_node]
+        self.queues[slot].append((now + self.HOP_CYCLES, pkt))
+        self.busy |= 1 << slot
 
     def step(self, now: int) -> None:
+        # Slots in ascending order, as a scan of all of them would: a
+        # packet that arrives in a slot during this walk is due two
+        # cycles from now, so skipping a slot that was empty at the
+        # start misses nothing.
+        busy = self.busy
+        if not busy:
+            return
         acct = self.net.accountant
         n = len(self.order)
-        for i in range(n):
+        while busy:
+            low = busy & -busy
+            busy ^= low
+            i = low.bit_length() - 1
             q = self.queues[i]
-            if not q or q[0][0] > now:
+            if q[0][0] > now:
                 continue
             _, pkt = q.popleft()
-            for _ in range(pkt.size):
-                acct.on_flov_hop()
+            if not q:
+                self.busy &= ~low
+            acct.on_flov_hop(pkt.size)
             pkt.flov_hops += 1
             self.hops_total += 1
             node = self.order[i]
             if node == pkt.dest:
                 self.net.routers[node].ni.eject(pkt, now)
             else:
-                self.queues[(i + 1) % n].append((now + self.HOP_CYCLES, pkt))
+                nxt = (i + 1) % n
+                self.queues[nxt].append((now + self.HOP_CYCLES, pkt))
+                self.busy |= 1 << nxt
 
     def __len__(self) -> int:
         return sum(len(q) for q in self.queues)
@@ -101,9 +119,33 @@ class NordMechanism(Mechanism):
         super().__init__(net)
         self.ring = BypassRing(net)
         self.gated_cores: frozenset[int] = frozenset()
-        self.protected: frozenset[int] = frozenset()
+        self._protected: frozenset[int] = frozenset()
         self._draining: set[int] = set()
+        #: gated, unprotected cores whose router is still ACTIVE, in
+        #: ``gated_cores`` order: the only nodes :meth:`step` has to poll
+        #: for an idle drain (derived state, see :meth:`_refresh_candidates`)
+        self._drain_candidates: list[int] = []
         self.diversions = 0
+
+    @property
+    def protected(self) -> frozenset[int]:
+        """Routers that never gate (full-system memory controllers)."""
+        return self._protected
+
+    @protected.setter
+    def protected(self, nodes: frozenset[int]) -> None:
+        self._protected = nodes
+        self._refresh_candidates()
+
+    def _refresh_candidates(self) -> None:
+        """Recompute the drain-candidate list; called wherever one of its
+        three inputs changes (schedule, protection, a drain starting —
+        every other transition to ACTIVE is of an ungated core)."""
+        routers = self.net.routers
+        self._drain_candidates = [
+            node for node in self.gated_cores
+            if node not in self._protected
+            and routers[node].state == PowerState.ACTIVE]
 
     # -- power management ---------------------------------------------------
 
@@ -129,25 +171,29 @@ class NordMechanism(Mechanism):
                     tr.emit(now, "power", node, "SLEEP", "ACTIVE",
                             "core_ungated", ())
                 self._broadcast_psr(node, PowerState.ACTIVE)
+        self._refresh_candidates()
 
     def step(self, now: int) -> None:
         self.ring.step(now)
         self._divert_blocked(now)
         cfg = self.cfg
-        for node in self.gated_cores:
-            if node in self.protected:
-                continue
+        started = False
+        for node in self._drain_candidates:
             r = self.net.routers[node]
-            if (r.state == PowerState.ACTIVE
-                    and now - r.last_local_activity >= cfg.idle_threshold
+            if (now - r.last_local_activity >= cfg.idle_threshold
                     and not r.ni.pending_flits):
                 r.state = PowerState.DRAINING
                 self._draining.add(node)
+                started = True
                 tr = self.net._tracer
                 if tr is not None:
                     tr.emit(now, "power", node, "ACTIVE", "DRAINING",
                             "idle_drain", ())
                 self._broadcast_psr(node, PowerState.DRAINING)
+        if started:
+            self._refresh_candidates()
+        if not self._draining:
+            return
         for node in list(self._draining):
             r = self.net.routers[node]
             if node not in self.gated_cores:
@@ -189,22 +235,23 @@ class NordMechanism(Mechanism):
     def _divert_blocked(self, now: int) -> None:
         """Move fully-buffered packets whose XY path is blocked onto the
         ring (NoRD's bypass entry through the ejection channel)."""
-        for r in self.net.routers:
-            # _active is a superset of {occupancy > 0} (kernel activation
-            # invariant), so the flag-first order only skips work-free
-            # routers — identical diversion behavior, cheaper scan.
-            if not r._active or not r.occupancy or not r.powered:
+        routers = self.net.routers
+        # the kernel's active mask is a superset of the routers holding
+        # flits (activation invariant), walked in ascending node order
+        mask = self.net._active_mask
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            r = routers[low.bit_length() - 1]
+            if not r._n_routing or not r.powered:
                 continue
             for in_dir in r.ports:
-                if not r.port_flits[in_dir]:
+                if not r._port_routing[in_dir]:
                     continue
                 for vci, vc in enumerate(r.ivc[in_dir]):
-                    if vc.state != VCState.ROUTING:
+                    if vc.state is not VCState.ROUTING:
                         continue
-                    front = vc.front
-                    if front is None or not front.is_head:
-                        continue
-                    pkt = front.packet
+                    pkt = vc.buffer[0].packet  # ROUTING: head at front
                     if not self._blocked(r, pkt):
                         continue
                     if len(vc.buffer) < pkt.size:
@@ -233,7 +280,7 @@ class NordMechanism(Mechanism):
             return dec
         if router.psr.get(dec.out_dir) == PowerState.ACTIVE:
             return dec
-        return Hold()  # step() diverts it onto the ring once complete
+        return HOLD  # step() diverts it onto the ring once complete
 
     def request_wakeup(self, router: "Router", target: int, now: int) -> None:
         pass  # the ring delivers to gated nodes; no wakeups needed
@@ -272,7 +319,10 @@ class NordMechanism(Mechanism):
                        for q in rd["queues"]]
         ring.packets_carried = rd["packets_carried"]
         ring.hops_total = rd["hops_total"]
+        ring.busy = sum(1 << i for i, q in enumerate(ring.queues) if q)
         self.gated_cores = frozenset(data["gated_cores"])
-        self.protected = frozenset(data["protected"])
         self._draining = set(data["draining"])
         self.diversions = data["diversions"]
+        # last: the candidate list reads gated_cores and router states
+        # (Network.restore_state restores routers before the mechanism)
+        self.protected = frozenset(data["protected"])

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core.power_fsm import PowerState
-from ..core.routing import Decision, Hold, Route
+from ..core.routing import HOLD, ROUTE_TO, Decision
 from ..noc.mechanism import Mechanism
 from ..noc.types import Direction, Flit
 from .updown import (average_distance, build_tables, is_connected,
@@ -174,8 +174,8 @@ class RouterParkingMechanism(Mechanism):
         if d is None:
             # destination currently parked (possible transiently in full
             # system runs): hold until the next reconfiguration
-            return Hold()
-        return Route(d)
+            return HOLD
+        return ROUTE_TO[d]
 
     @property
     def gateable_routers(self) -> frozenset[int]:

@@ -3,21 +3,21 @@
 Routes fully in Y first, then in X. Deterministic and deadlock-free on a
 mesh (dimension-order acyclic channel dependencies).
 
-``Route`` is a frozen dataclass, so the five possible decisions are
-interned module-level singletons: the routing functions sit on the VA
-hot path and must not allocate per call.
+The five possible decisions are the interned ``ROUTE_TO`` instances:
+the routing functions sit on the VA hot path and must not allocate per
+call.
 """
 
 from __future__ import annotations
 
-from ..core.routing import Decision, Route
+from ..core.routing import ROUTE_TO, Decision
 from ..noc.types import Direction
 
-_NORTH = Route(Direction.NORTH)
-_SOUTH = Route(Direction.SOUTH)
-_EAST = Route(Direction.EAST)
-_WEST = Route(Direction.WEST)
-_LOCAL = Route(Direction.LOCAL)
+_NORTH = ROUTE_TO[Direction.NORTH]
+_SOUTH = ROUTE_TO[Direction.SOUTH]
+_EAST = ROUTE_TO[Direction.EAST]
+_WEST = ROUTE_TO[Direction.WEST]
+_LOCAL = ROUTE_TO[Direction.LOCAL]
 
 
 def yx_route(cur_x: int, cur_y: int, dst_x: int, dst_y: int) -> Decision:

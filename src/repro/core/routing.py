@@ -69,9 +69,15 @@ class Hold:
 
 Decision = Route | Hold
 
-#: interned no-wake-target Hold — the common "wait a cycle" decision on
-#: the VA hot path (Hold is frozen, so sharing one instance is safe)
-_HOLD = Hold()
+#: Interned decisions: routing functions run per head flit per VA
+#: attempt and must not allocate.  Both dataclasses are frozen, so one
+#: shared ``Route`` per direction (indexed by the direction's value) and
+#: one shared no-wake-target ``Hold`` are safe; only
+#: ``Hold(wake_target=...)`` is built per call.
+ROUTE_TO: tuple[Route, ...] = tuple(Route(d) for d in Direction)
+HOLD = Hold()
+_LOCAL = ROUTE_TO[Direction.LOCAL]
+_EAST = ROUTE_TO[Direction.EAST]
 
 
 def _path_open(rv: RouterView, d: Direction) -> bool:
@@ -115,8 +121,8 @@ def _route_cardinal(rv: RouterView, d: Direction, dest: int) -> Decision:
     if _dest_asleep_inline(rv, d, dest):
         return Hold(wake_target=dest)
     if _path_open(rv, d):
-        return Route(d)
-    return _HOLD
+        return ROUTE_TO[d]
+    return HOLD
 
 
 def flov_route(rv: RouterView, dest_x: int, dest_y: int, dest: int,
@@ -124,33 +130,33 @@ def flov_route(rv: RouterView, dest_x: int, dest_y: int, dest: int,
     """Regular-VC adaptive routing decision (paper SS V, Figure 5)."""
     part = partition(rv.x, rv.y, dest_x, dest_y)
     if part == -1:
-        return Route(Direction.LOCAL)
+        return _LOCAL
 
     if part in CARDINAL_DIR:
         return _route_cardinal(rv, CARDINAL_DIR[part], dest)
 
     yd, xd = QUADRANT_DIRS[part]
     if rv.neighbor_state(yd) == PowerState.ACTIVE:
-        return Route(yd)
+        return ROUTE_TO[yd]
     if rv.neighbor_state(xd) == PowerState.ACTIVE:
-        return Route(xd)
+        return ROUTE_TO[xd]
     # Both turn candidates power-gated (or transitioning): head East toward
     # the AON column, never back the way we came.
     if in_dir == Direction.EAST:
-        return _HOLD
+        return HOLD
     if not rv.has_neighbor(Direction.EAST):
         # Only possible when the AON column is not the east edge; wait.
-        return _HOLD
+        return HOLD
     if _path_open(rv, Direction.EAST):
-        return Route(Direction.EAST)
-    return _HOLD
+        return _EAST
+    return HOLD
 
 
 def escape_route(rv: RouterView, dest_x: int, dest_y: int, dest: int) -> Decision:
     """Escape sub-network deterministic routing (turn model E -> N/S -> W)."""
     part = partition(rv.x, rv.y, dest_x, dest_y)
     if part == -1:
-        return Route(Direction.LOCAL)
+        return _LOCAL
 
     if part in CARDINAL_DIR:
         return _route_cardinal(rv, CARDINAL_DIR[part], dest)
@@ -161,8 +167,8 @@ def escape_route(rv: RouterView, dest_x: int, dest_y: int, dest: int) -> Decisio
     else:
         d = yd
     if _path_open(rv, d):
-        return Route(d)
-    return _HOLD
+        return ROUTE_TO[d]
+    return HOLD
 
 
 #: Turns forbidden in the escape sub-network (Figure 4b). A turn is the

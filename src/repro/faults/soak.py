@@ -24,6 +24,7 @@ from ..config import NoCConfig
 from ..gating.schedule import StaticGating, random_epochs
 from ..noc.network import Network
 from ..noc.validation import (credit_conservation_violations,
+                              derived_state_violations,
                               pointer_coherence_violations, quiescent,
                               wormhole_violations)
 from ..traffic.generator import TrafficGenerator
@@ -137,6 +138,7 @@ def _structural_violations(net: Network, mechanism: str) -> tuple:
     vio: list[tuple] = []
     vio += [("credit",) + v for v in credit_conservation_violations(net)]
     vio += [("wormhole",) + v for v in wormhole_violations(net)]
+    vio += [("derived",) + v for v in derived_state_violations(net)]
     if mechanism in _POINTERED:
         vio += [("pointer",) + v for v in pointer_coherence_violations(net)]
     return tuple(vio)

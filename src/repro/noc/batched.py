@@ -64,7 +64,7 @@ from ..gating.schedule import GatingSchedule, StaticGating
 from ..spec import ExperimentSpec, SpecError
 from ..traffic.generator import TrafficGenerator
 from ..traffic.patterns import get_pattern
-from .network import Network
+from .network import Network, deliver_due
 from .snapshot import (SNAPSHOT_SCHEMA_VERSION, SnapshotError, check_schema,
                        require)
 
@@ -222,36 +222,13 @@ class ReplicaBatch:
             if flt is not None:
                 flt.on_cycle(now)
 
-        # P2/P3: one shared bucket pop serves the whole batch.  The loop
-        # bodies match ``_step_active``; the only addition is the
-        # retired-owner drop.  Within one replica, bucket order equals
-        # that replica's solo registration order (appends preserve each
-        # owner's subsequence), so per-replica delivery order — the only
-        # order that can matter — is unchanged.
-        for wheel, deliver_name in ((self._credit_wheel, "deliver_credit"),
-                                    (self._flit_wheel, "deliver_flit")):
-            bucket = wheel.pop(now, None)
-            if bucket is None:
-                continue
-            for ch in bucket:
-                if retired[ch.owner]:
-                    ch.scheduled = False
-                    continue
-                q = ch._q
-                if q and q[0][0] <= now:
-                    deliver = getattr(ch.sink, deliver_name)
-                    d = ch.sink_dir
-                    while q and q[0][0] <= now:
-                        deliver(q.popleft()[1], d, now)
-                if q:  # still in flight: re-file at the new head arrival
-                    head = q[0][0]
-                    nxt = wheel.get(head)
-                    if nxt is None:
-                        wheel[head] = [ch]
-                    else:
-                        nxt.append(ch)
-                else:
-                    ch.scheduled = False
+        # P2/P3: one shared bucket pop serves the whole batch, minus the
+        # registrations of retired replicas.  Within one replica, bucket
+        # order equals that replica's solo registration order (appends
+        # preserve each owner's subsequence), so per-replica delivery
+        # order — the only order that can matter — is unchanged.
+        deliver_due(self._credit_wheel, now, credits=True, retired=retired)
+        deliver_due(self._flit_wheel, now, credits=False, retired=retired)
 
         # P4: per-replica active-router scan (verbatim ``_step_active``).
         for i in live:

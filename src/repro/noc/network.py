@@ -36,6 +36,7 @@ from bisect import bisect_left
 from time import perf_counter_ns
 
 from ..config import NoCConfig, PowerConfig
+from ..core.power_fsm import PowerState
 from ..gating.schedule import GatingSchedule
 from ..power.accounting import EnergyAccountant
 from ..power.dsent import power_config_for
@@ -64,6 +65,53 @@ def default_kernel() -> str:
         raise ValueError(f"REPRO_KERNEL must be one of "
                          f"{KERNEL_REGISTRY.names()}, got {kernel!r}")
     return kernel
+
+
+def deliver_due(wheel: dict[int, list], now: int, *, credits: bool,
+                retired: list[bool] | None = None) -> None:
+    """Deliver every item due at ``now`` on the channels filed under it.
+
+    The delivery loop of the wheel-driven kernels.  A channel is then
+    re-filed at its new head arrival or unscheduled; a stale entry (a
+    channel emptied by ``clear()``/``receive()``, or one whose head is
+    not due yet) is handled the same way, never an error.  ``credits``
+    selects ``deliver_credit`` over ``deliver_flit`` and applies a
+    credit to a powered sink in place; ``retired[ch.owner]`` (the batch
+    kernel) drops a channel's registration undelivered.
+    """
+    bucket = wheel.pop(now, None)
+    if bucket is None:
+        return
+    draining = PowerState.DRAINING
+    for ch in bucket:
+        if retired is not None and retired[ch.owner]:
+            ch.scheduled = False
+            continue
+        q = ch._q
+        sink = ch.sink
+        d = ch.sink_dir
+        if credits:
+            while q and q[0][0] <= now:
+                vc = q.popleft()[1]
+                if sink.state <= draining:
+                    # ``Router.deliver_credit`` on a powered router
+                    cr = sink.credits[d]
+                    if cr[vc] < sink.cfg.buffer_depth:
+                        cr[vc] += 1
+                else:
+                    sink.deliver_credit(vc, d, now)
+        else:
+            while q and q[0][0] <= now:
+                sink.deliver_flit(q.popleft()[1], d, now)
+        if q:  # still in flight: re-file at the new head arrival
+            head = q[0][0]
+            nxt = wheel.get(head)
+            if nxt is None:
+                wheel[head] = [ch]
+            else:
+                nxt.append(ch)
+        else:
+            ch.scheduled = False
 
 
 class Network:
@@ -335,45 +383,8 @@ class Network:
             prof.t_handshake += _n - _t
             _t = _n
 
-        wheel = self._credit_wheel
-        bucket = wheel.pop(now, None)
-        if bucket is not None:
-            for ch in bucket:
-                q = ch._q
-                if q and q[0][0] <= now:
-                    deliver = ch.sink.deliver_credit
-                    d = ch.sink_dir
-                    while q and q[0][0] <= now:
-                        deliver(q.popleft()[1], d, now)
-                if q:  # still in flight: re-file at the new head arrival
-                    head = q[0][0]
-                    nxt = wheel.get(head)
-                    if nxt is None:
-                        wheel[head] = [ch]
-                    else:
-                        nxt.append(ch)
-                else:
-                    ch.scheduled = False
-
-        wheel = self._flit_wheel
-        bucket = wheel.pop(now, None)
-        if bucket is not None:
-            for ch in bucket:
-                q = ch._q
-                if q and q[0][0] <= now:
-                    deliver = ch.sink.deliver_flit
-                    d = ch.sink_dir
-                    while q and q[0][0] <= now:
-                        deliver(q.popleft()[1], d, now)
-                if q:
-                    head = q[0][0]
-                    nxt = wheel.get(head)
-                    if nxt is None:
-                        wheel[head] = [ch]
-                    else:
-                        nxt.append(ch)
-                else:
-                    ch.scheduled = False
+        deliver_due(self._credit_wheel, now, credits=True)
+        deliver_due(self._flit_wheel, now, credits=False)
         if prof is not None:
             _n = perf_counter_ns()
             prof.t_delivery += _n - _t

@@ -17,6 +17,7 @@ and relay returning credits toward the logical upstream router.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING, Callable
 
 from ..core.power_fsm import PowerState
@@ -27,6 +28,52 @@ from .types import (DIR_DELTA, MESH_DIRS, OPPOSITE, Direction, Flit, Packet)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .network import Network
+
+
+class _LazyRotation(dict):
+    """``mask -> members of mask in `order``` filled in on first use."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order: tuple[int, ...]) -> None:
+        self.order = order
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        members = self[mask] = tuple(m for m in self.order if mask >> m & 1)
+        return members
+
+
+def _rotations(members: tuple[int, ...]):
+    """Round-robin scan orders over subsets of ``members``.
+
+    ``table[ptr][mask]`` is the tuple of those ``members`` whose bit
+    ``1 << member`` is set in ``mask``, in the order a scan starting at
+    position ``ptr`` and wrapping around meets them.  Rows over more
+    than 6 bits (full-system runs have 12 VCs) fill in lazily.
+    """
+    orders = [members[p:] + members[:p] for p in range(len(members))]
+    bits = max(members) + 1
+    if bits > 6:
+        return tuple(_LazyRotation(order) for order in orders)
+    return tuple(tuple(tuple(m for m in order if mask >> m & 1)
+                       for mask in range(1 << bits)) for order in orders)
+
+
+# One table per distinct port list / VC count, shared by every router of
+# every network in the process (the entries are immutable tuples).
+
+@cache
+def port_rotations(ports: tuple[Direction, ...]):
+    """``table[_sa_in_ptr][port mask]`` -> ports in switch-allocation
+    order (bit ``1 << direction``)."""
+    return _rotations(ports)
+
+
+@cache
+def vc_rotations(num_vcs: int):
+    """``table[_sa_vc_ptr[port]][VC mask]`` -> VC indices in
+    switch-allocation order."""
+    return _rotations(tuple(range(num_vcs)))
 
 
 class NetworkInterface:
@@ -285,16 +332,10 @@ class Router:
         self._va_ptr: dict[Direction, int] = {d: 0 for d in self.ports}
         self._sa_in_ptr = 0
         self._sa_vc_ptr: dict[Direction, int] = {d: 0 for d in self.ports}
-        #: precomputed round-robin orders: ``_sa_port_orders[p]`` is the
-        #: port scan order when ``_sa_in_ptr == p``; ``_vc_orders[b]`` the
-        #: VC scan order for base ``b`` — replaces per-iteration modular
-        #: arithmetic in the switch allocator with table lookups
-        nports = len(self.ports)
-        self._sa_port_orders: tuple[tuple[Direction, ...], ...] = tuple(
-            tuple(self.ports[(p + off) % nports] for off in range(nports))
-            for p in range(nports))
-        self._vc_orders: tuple[tuple[int, ...], ...] = tuple(
-            tuple((b + off) % V for off in range(V)) for b in range(V))
+        #: shared round-robin tables: the switch allocator's scan order
+        #: over exactly the ports / VCs set in a mask, by rotation pointer
+        self._port_rot = port_rotations(self.ports)
+        self._vc_rot = vc_rotations(V)
 
         self.last_local_activity = 0
         self.ni = NetworkInterface(self)
@@ -310,16 +351,19 @@ class Router:
         self.occupancy = 0
         #: buffered flit count per input port (allocator early-out)
         self.port_flits: dict[Direction, int] = {d: 0 for d in self.ports}
-        #: per-port count of VCs in ROUTING / ACTIVE state.  Maintained at
-        #: every VC state transition so VA, SA and the escape-timeout scan
-        #: can skip ports (and stop early) without touching each VC.  The
-        #: invariant suite cross-checks these against a full recount.
+        #: per-port count of VCs in ROUTING state and its router-wide
+        #: total.  Maintained at every VC state transition so VA and the
+        #: escape-timeout scan can skip ports (and stop early) without
+        #: touching each VC; VA is skipped when the total is zero.
         self._port_routing: dict[Direction, int] = {d: 0 for d in self.ports}
-        self._port_active: dict[Direction, int] = {d: 0 for d in self.ports}
-        #: router-wide totals of the per-port counts: whole allocator
-        #: phases are skipped when the matching total is zero
         self._n_routing = 0
-        self._n_active = 0
+        #: per-port bitmask of VCs in ACTIVE state (bit ``1 << vc``) and
+        #: the mask of ports holding any (bit ``1 << direction``),
+        #: maintained at the same transitions: SA visits only these VCs
+        #: and is skipped when the port mask is zero.  The invariant
+        #: suite cross-checks all four against a full recount.
+        self._active_vcs: dict[Direction, int] = {d: 0 for d in self.ports}
+        self._active_ports = 0
         self._nports = len(self.ports)
         #: lower bound on the next cycle an escape escalation could fire
         #: (refreshed by each `_escalate_timeouts` scan; 0 = scan now)
@@ -422,9 +466,10 @@ class Router:
                 self._n_routing += 1
             self.occupancy += 1
             self.port_flits[from_dir] += 1
-            self._active = True  # buffered work: (re)enter the active scan
-            self.net._active_mask |= self._bit
-            acct.on_buffer_write()
+            if not self._active:  # buffered work: (re)enter the active scan
+                self._active = True
+                self.net._active_mask |= self._bit
+            acct.buffer_writes += 1
             if flit.is_head:
                 tr = self._tracer
                 if tr is not None:
@@ -466,9 +511,9 @@ class Router:
             raise RuntimeError(
                 f"mid-packet adoption conflict at router {self.node}")
         ivc = self.ivc[from_dir][vc]
-        ivc.state = VCState.ACTIVE
-        self._port_active[from_dir] += 1  # IDLE -> ACTIVE adoption
-        self._n_active += 1
+        ivc.state = VCState.ACTIVE  # IDLE -> ACTIVE adoption
+        self._active_vcs[from_dir] |= 1 << vc
+        self._active_ports |= 1 << from_dir
         ivc.out_port = out_d
         ivc.out_vc = vc
         self.out_owner[out_d][vc] = (from_dir, vc)
@@ -497,8 +542,7 @@ class Router:
                 self._port_routing[in_dir] -= 1
                 self._n_routing -= 1
             elif state_before is VCState.ACTIVE:
-                self._port_active[in_dir] -= 1
-                self._n_active -= 1
+                self._clear_active(in_dir, vci)
             if state_after is VCState.ROUTING:
                 self._port_routing[in_dir] += 1
                 self._n_routing += 1
@@ -535,7 +579,7 @@ class Router:
         if self.occupancy == 0 and ni._pending == 0:
             return
         if (self._uses_escape and now >= self._esc_next
-                and (self._n_routing or self._n_active)):
+                and (self._n_routing or self._active_ports)):
             self._escalate_timeouts(now)
         if ni._pending:
             ni.inject(now)
@@ -543,7 +587,7 @@ class Router:
             return
         if self._n_routing:
             self._vc_allocate(now)
-        if self._n_active:
+        if self._active_ports:
             self._switch_allocate(now)
         else:
             # keep the round-robin pointer advancing exactly as a no-op
@@ -566,12 +610,12 @@ class Router:
         """
         timeout = self.cfg.escape_timeout
         esc_next = now + timeout + 1
-        pr, pa = self._port_routing, self._port_active
+        pr, act = self._port_routing, self._active_vcs
         for in_dir in self.ports:
-            remaining = pr[in_dir] + pa[in_dir]
+            remaining = pr[in_dir] + act[in_dir].bit_count()
             if not remaining:
                 continue  # no VC here holds a routed/routing packet
-            for vc in self.ivc[in_dir]:
+            for vci, vc in enumerate(self.ivc[in_dir]):
                 st = vc.state
                 if st is VCState.IDLE:
                     continue
@@ -589,9 +633,8 @@ class Router:
                                     self.out_owner[vc.out_port][vc.out_vc] = \
                                         None
                                     vc.release_route(now)
-                                    pa[in_dir] -= 1
+                                    self._clear_active(in_dir, vci)
                                     pr[in_dir] += 1
-                                    self._n_active -= 1
                                     self._n_routing += 1
                                     pkt.escaped = True
                                     tr = self._tracer
@@ -640,9 +683,9 @@ class Router:
                     if out_d == Direction.LOCAL:
                         vc.allocate(Direction.LOCAL, 0)
                         pr[in_dir] -= 1
-                        self._port_active[in_dir] += 1
                         self._n_routing -= 1
-                        self._n_active += 1
+                        self._active_vcs[in_dir] |= 1 << vci
+                        self._active_ports |= 1 << in_dir
                         self.net.accountant.on_arbitration()
                     else:
                         allowed = mech.allowed_vcs(self, front.packet)
@@ -656,7 +699,7 @@ class Router:
         if requests is None:
             return
         total = len(self.ports) * V
-        pa = self._port_active
+        act = self._active_vcs
         for out_d, reqs in requests.items():
             ptr = self._va_ptr[out_d]
             reqs.sort(key=lambda r: (r[0] - ptr) % total)
@@ -668,9 +711,9 @@ class Router:
                         owners[ovc] = (in_dir, vci)
                         self.ivc[in_dir][vci].allocate(out_d, ovc)
                         pr[in_dir] -= 1
-                        pa[in_dir] += 1
                         self._n_routing -= 1
-                        self._n_active += 1
+                        act[in_dir] |= 1 << vci
+                        self._active_ports |= 1 << in_dir
                         self.net.accountant.on_arbitration()
                         if not granted_any:
                             self._va_ptr[out_d] = (key + 1) % total
@@ -679,31 +722,38 @@ class Router:
 
     # -- switch allocation + traversal ---------------------------------------
 
+    def _clear_active(self, in_dir: Direction, vci: int) -> None:
+        """Drop one VC from the ACTIVE masks (cold sites; the switch
+        traversal below inlines it)."""
+        left = self._active_vcs[in_dir] & ~(1 << vci)
+        self._active_vcs[in_dir] = left
+        if not left:
+            self._active_ports &= ~(1 << in_dir)
+
     def _switch_allocate(self, now: int) -> None:
+        """Separable input-first SA over the ACTIVE VCs, then ST.
+
+        The rotation tables yield exactly the masked ports / VCs in the
+        order the full rotated ``ports x VCs`` scan would reach them, so
+        grants and pointer updates are those of that scan.  All grants
+        are decided before any winner traverses.
+        """
         V = self._V
-        pa = self._port_active
+        act = self._active_vcs
         paused = self.paused
         credits = self.credits
         ivc = self.ivc
         sa_vc_ptr = self._sa_vc_ptr
+        vc_rot = self._vc_rot
         local = Direction.LOCAL
-        active = VCState.ACTIVE
         taken = 0  # bitmask over Direction values of granted output ports
-        winners: list[tuple[Direction, int]] = []
-        vc_orders = self._vc_orders
-        for in_dir in self._sa_port_orders[self._sa_in_ptr]:
-            remaining = pa[in_dir]
-            if not remaining:
-                continue  # no allocated VC at this port
+        winners: list[tuple[Direction, int, InputVC]] = []
+        for in_dir in self._port_rot[self._sa_in_ptr][self._active_ports]:
             vcs = ivc[in_dir]
-            for vci in vc_orders[sa_vc_ptr[in_dir]]:
+            for vci in vc_rot[sa_vc_ptr[in_dir]][act[in_dir]]:
                 vc = vcs[vci]
-                if vc.state is not active:
-                    continue
-                remaining -= 1
                 buf = vc.buffer
-                front = buf[0] if buf else None
-                if front is not None and front.ready <= now:
+                if buf and buf[0].ready <= now:
                     od = vc.out_port
                     if not taken & (1 << od):
                         pw = paused.get(od) if paused else None
@@ -716,50 +766,63 @@ class Router:
                                 nxt = vci + 1
                                 sa_vc_ptr[in_dir] = nxt if nxt < V else 0
                                 break
-                if not remaining:
-                    break  # every ACTIVE VC of this port considered
         nxt = self._sa_in_ptr + 1
         self._sa_in_ptr = nxt if nxt < self._nports else 0
-        for in_dir, vci, vc in winners:
-            self._traverse(in_dir, vci, vc, now)
+        if not winners:
+            return
 
-    def _traverse(self, in_dir: Direction, vci: int, vc: InputVC,
-                  now: int) -> None:
+        # switch traversal of every winner
+        port_flits = self.port_flits
+        out_credit = self.out_credit
+        credit_at = now + self._credit_delay
         acct = self.net.accountant
-        od = vc.out_port
-        ovc = vc.out_vc
-        assert od is not None
-        flit = vc.pop(now)
-        if flit.is_tail:
-            # ACTIVE -> IDLE (or straight to ROUTING if the next packet's
-            # head is already queued behind the departing tail)
-            self._port_active[in_dir] -= 1
-            self._n_active -= 1
-            if vc.state is VCState.ROUTING:
-                self._port_routing[in_dir] += 1
-                self._n_routing += 1
-        self.occupancy -= 1
-        self.port_flits[in_dir] -= 1
-        pkt = flit.packet
-        if od is Direction.LOCAL:
-            acct.on_st_local()
-            self.net._flits -= 1  # flit left the fabric at the NI
-            if flit.is_head:
-                pkt.router_hops += 1
-            if flit.is_tail:
-                self.ni.eject(pkt, now)
-        else:
-            acct.on_st_link()
-            self.credits[od][ovc] -= 1
-            flit.vc = ovc
-            self.out_flit[od].send_at(flit, now + self._link_delay)
-            if flit.is_head:
-                pkt.router_hops += 1
-                pkt.link_hops += 1
-            if flit.is_tail:
-                self.out_owner[od][ovc] = None
-        if in_dir is not Direction.LOCAL:
-            self.out_credit[in_dir].send_at(vci, now + self._credit_delay)
+        for in_dir, vci, vc in winners:
+            od = vc.out_port
+            ovc = vc.out_vc
+            buf = vc.buffer
+            flit = buf.popleft()
+            pkt = flit.packet
+            is_tail = flit.is_tail
+            if is_tail:
+                # the departing tail frees the VC: ACTIVE -> IDLE, or
+                # straight to ROUTING if the next packet's head is
+                # already queued behind it
+                vc.out_port = None
+                vc.out_vc = -1
+                if buf and buf[0].is_head:
+                    vc.state = VCState.ROUTING
+                    vc.wait_since = now
+                    self._port_routing[in_dir] += 1
+                    self._n_routing += 1
+                else:
+                    vc.state = VCState.IDLE
+                    vc.wait_since = -1
+                left = act[in_dir] & ~(1 << vci)
+                act[in_dir] = left
+                if not left:
+                    self._active_ports &= ~(1 << in_dir)
+            self.occupancy -= 1
+            port_flits[in_dir] -= 1
+            acct.buffer_reads += 1
+            acct.xbar_traversals += 1
+            if od is local:
+                self.net._flits -= 1  # flit left the fabric at the NI
+                if flit.is_head:
+                    pkt.router_hops += 1
+                if is_tail:
+                    self.ni.eject(pkt, now)
+            else:
+                acct.link_traversals += 1
+                credits[od][ovc] -= 1
+                flit.vc = ovc
+                self.out_flit[od].send_at(flit, now + self._link_delay)
+                if flit.is_head:
+                    pkt.router_hops += 1
+                    pkt.link_hops += 1
+                if is_tail:
+                    self.out_owner[od][ovc] = None
+            if in_dir is not local:
+                out_credit[in_dir].send_at(vci, credit_at)
 
     # -- SimSnapshot protocol -------------------------------------------------
 
@@ -788,9 +851,11 @@ class Router:
             "occupancy": self.occupancy,
             "port_flits": encode_dirmap(self.port_flits),
             "port_routing": encode_dirmap(self._port_routing),
-            "port_active": encode_dirmap(self._port_active),
+            # the ACTIVE masks are derived state: schema v1 carries counts
+            "port_active": encode_dirmap(self._active_vcs, int.bit_count),
             "n_routing": self._n_routing,
-            "n_active": self._n_active,
+            "n_active": sum(m.bit_count()
+                            for m in self._active_vcs.values()),
             "esc_next": self._esc_next,
             "bypass_enabled": self.bypass_enabled,
             "paused": encode_dirmap(self.paused, lambda s: sorted(s)),
@@ -826,9 +891,7 @@ class Router:
         self.occupancy = data["occupancy"]
         self.port_flits = decode_dirmap(data["port_flits"])
         self._port_routing = decode_dirmap(data["port_routing"])
-        self._port_active = decode_dirmap(data["port_active"])
         self._n_routing = data["n_routing"]
-        self._n_active = data["n_active"]
         self._esc_next = data["esc_next"]
         self.bypass_enabled = data["bypass_enabled"]
         self.paused = decode_dirmap(data["paused"], set)
@@ -837,9 +900,16 @@ class Router:
             data["out_owner"],
             lambda vcs: [None if o is None else (Direction(o[0]), o[1])
                          for o in vcs])
+        self._active_ports = 0
         for d, vc_states in decode_dirmap(data["ivc"]).items():
-            for vc, st in zip(self.ivc[d], vc_states):
+            mask = 0
+            for vci, (vc, st) in enumerate(zip(self.ivc[d], vc_states)):
                 vc.restore_state(st, pkts)
+                if vc.state is VCState.ACTIVE:
+                    mask |= 1 << vci
+            self._active_vcs[d] = mask
+            if mask:
+                self._active_ports |= 1 << d
         self.ni.restore_state(data["ni"], pkts)
         for d, ch_state in decode_dirmap(data["out_flit"]).items():
             self.out_flit[d].restore_state(

@@ -12,6 +12,9 @@ can cross-check the distributed state:
 * **pointer coherence** — every powered router's logical neighbor
   pointer names the nearest powered router along that direction (only
   guaranteed when no handshake is in flight — check at quiescence).
+* **derived state** — every counter, flag and bitmask the hot paths
+  maintain incrementally equals a recount from the state it summarises
+  (holds between any two cycles).
 """
 
 from __future__ import annotations
@@ -120,6 +123,67 @@ def pointer_coherence_violations(net: "Network") -> list[tuple]:
     return out
 
 
+def derived_state_violations(net: "Network") -> list[tuple]:
+    """Recount everything the kernels keep incrementally.
+
+    Per router: the active flag against the network's mask bit (and
+    work implies membership in the scan), ``occupancy`` / ``port_flits``
+    against the buffers, ``_port_routing`` / ``_n_routing`` and the
+    ACTIVE masks ``_active_vcs`` / ``_active_ports`` against ``vc.state``.
+    For NoRD: the ring's busy-slot mask against its queues and the
+    drain-candidate list against a full scan over ``gated_cores``.
+    """
+    out: list[tuple] = []
+    mask = net._active_mask
+    for r in net.routers:
+        if r._active != bool(mask >> r.node & 1):
+            out.append(("active-flag", r.node))
+        if (r.occupancy or r.ni._pending) and not r._active:
+            out.append(("work-but-inactive", r.node))
+        n_routing = occupancy = active_ports = 0
+        for d in r.ports:
+            flits = routing = active = 0
+            for vci, vc in enumerate(r.ivc[d]):
+                flits += len(vc.buffer)
+                if vc.state is VCState.ROUTING:
+                    routing += 1
+                elif vc.state is VCState.ACTIVE:
+                    active |= 1 << vci
+            if r.port_flits[d] != flits:
+                out.append(("port_flits", r.node, d.name,
+                            r.port_flits[d], flits))
+            if r._port_routing[d] != routing:
+                out.append(("port_routing", r.node, d.name,
+                            r._port_routing[d], routing))
+            if r._active_vcs[d] != active:
+                out.append(("active_vcs", r.node, d.name,
+                            r._active_vcs[d], active))
+            occupancy += flits
+            n_routing += routing
+            if active:
+                active_ports |= 1 << d
+        if r.occupancy != occupancy:
+            out.append(("occupancy", r.node, r.occupancy, occupancy))
+        if r._n_routing != n_routing:
+            out.append(("n_routing", r.node, r._n_routing, n_routing))
+        if r._active_ports != active_ports:
+            out.append(("active_ports", r.node, r._active_ports,
+                        active_ports))
+    mech = net.mech
+    ring = getattr(mech, "ring", None)
+    if ring is not None:
+        busy = sum(1 << i for i, q in enumerate(ring.queues) if q)
+        if ring.busy != busy:
+            out.append(("ring-busy", ring.busy, busy))
+        candidates = [n for n in mech.gated_cores
+                      if n not in mech.protected
+                      and net.routers[n].state == PowerState.ACTIVE]
+        if mech._drain_candidates != candidates:
+            out.append(("drain-candidates", mech._drain_candidates,
+                        candidates))
+    return out
+
+
 def quiescent(net: "Network") -> bool:
     """No flits anywhere (buffers, links, NIs) and no handshakes pending."""
     if not net.network_drained():
@@ -143,6 +207,8 @@ def check_all(net: "Network", *, pointers: bool = False) -> None:
     assert not v, f"credit conservation violated: {v[:5]}"
     v = wormhole_violations(net)
     assert not v, f"wormhole integrity violated: {v[:5]}"
+    v = derived_state_violations(net)
+    assert not v, f"derived state drifted: {v[:5]}"
     if pointers:
         v = pointer_coherence_violations(net)
         assert not v, f"pointer coherence violated: {v[:5]}"

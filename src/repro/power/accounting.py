@@ -106,26 +106,15 @@ class EnergyAccountant:
     def on_credit_relay(self) -> None:
         self.credit_relays += 1
 
-    # combined per-flit events: the switch-traversal and fly-over hot
-    # paths fire two/three counters per flit — one bound call instead of
-    # three keeps the kernel's per-event overhead down without changing
-    # any counter semantics
+    # The per-flit datapath (``Router._switch_allocate``'s traversal and
+    # ``Router.deliver_flit``'s buffer write) bumps buffer_reads /
+    # xbar_traversals / link_traversals / buffer_writes directly.
 
-    def on_st_local(self) -> None:
-        """Switch traversal into the local ejection port."""
-        self.buffer_reads += 1
-        self.xbar_traversals += 1
-
-    def on_st_link(self) -> None:
-        """Switch traversal onto an outgoing mesh link."""
-        self.buffer_reads += 1
-        self.xbar_traversals += 1
-        self.link_traversals += 1
-
-    def on_flov_hop(self) -> None:
-        """One fly-over latch-and-forward hop."""
-        self.flov_latches += 1
-        self.link_traversals += 1
+    def on_flov_hop(self, flits: int = 1) -> None:
+        """``flits`` fly-over latch-and-forward hops (a whole packet on
+        NoRD's bypass ring moves all its flits in one call)."""
+        self.flov_latches += flits
+        self.link_traversals += flits
 
     def on_handshake(self, hops: int = 1) -> None:
         self.handshake_hops += hops

@@ -6,12 +6,16 @@ separable switch allocation.
   randomized request schedule.
 * ``MatrixArbiter`` grants only actual requesters and rotates.
 * The router's separable SA never grants two inputs to one output (and
-  never two grants to one input) in any cycle of a randomized run.
+  never two grants to one input) in any cycle of a randomized run, and
+  its mask/table-driven scan grants exactly what a full nested rotated
+  scan kept here as the reference grants.
 """
 
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.noc.allocators import MatrixArbiter, RoundRobinArbiter
 
@@ -103,6 +107,66 @@ def test_matrix_rotation_no_starvation():
 
 # -- separable switch allocation (router level) -------------------------------
 
+class _TraversalSpy:
+    """Every switch traversal of a run, seen from the calls it makes.
+
+    SA and ST are one method, so grants are observed at the seams a
+    traversal crosses: a flit leaving on a mesh link is a
+    ``DelayChannel.send_at`` by a powered router (gated routers forward
+    through the same call and are not grants), a flit leaving a mesh
+    *input* port returns a credit through ``send_at`` too, and a tail
+    reaching the LOCAL port is a ``NetworkInterface.eject``.  Together
+    they give, per router and cycle, every granted input port and every
+    granted output port: link outputs directly, and the LOCAL output as
+    the credit-returning grants that put no flit on a link (flits from
+    the LOCAL input never eject: ``src == dest`` loops back in the NI).
+    """
+
+    def __init__(self, monkeypatch):
+        from repro.noc.channel import CreditChannel, DelayChannel
+        from repro.noc.router import NetworkInterface
+        from repro.noc.types import OPPOSITE, Direction
+
+        #: (node, cycle) -> granted input ports / output ports
+        self.inputs: dict[tuple[int, int], list] = {}
+        self.outputs: dict[tuple[int, int], list] = {}
+        self.ejects: dict[tuple[int, int], int] = {}
+        send_at, eject = DelayChannel.send_at, NetworkInterface.eject
+
+        def spy_send(ch, item, arrival):
+            # a wired channel's sender is the sink's neighbor
+            sink, sink_dir = ch.sink, ch.sink_dir
+            sender = sink.net.routers[sink.neighbor_id(sink_dir)]
+            if sender.powered:
+                out_port = OPPOSITE[sink_dir]
+                if isinstance(ch, CreditChannel):
+                    key = (sender.node, arrival - sender._credit_delay)
+                    self.inputs.setdefault(key, []).append(out_port)
+                else:
+                    key = (sender.node, arrival - sender._link_delay)
+                    self.outputs.setdefault(key, []).append(out_port)
+                    if item.in_dir is Direction.LOCAL:
+                        self.inputs.setdefault(key, []).append(item.in_dir)
+            return send_at(ch, item, arrival)
+
+        def spy_eject(ni, pkt, now):
+            key = (ni.router.node, now)
+            self.ejects[key] = self.ejects.get(key, 0) + 1
+            return eject(ni, pkt, now)
+
+        monkeypatch.setattr(DelayChannel, "send_at", spy_send)
+        monkeypatch.setattr(NetworkInterface, "eject", spy_eject)
+
+    def local_grants(self, key) -> int:
+        """Grants into the LOCAL output: mesh-input grants (one credit
+        each) that sent nothing down a link."""
+        from repro.noc.types import Direction
+        ins = self.inputs.get(key, [])
+        from_mesh = sum(1 for d in ins if d is not Direction.LOCAL)
+        to_link = len(self.outputs.get(key, [])) - (len(ins) - from_mesh)
+        return from_mesh - to_link
+
+
 @pytest.mark.parametrize("mechanism,gated", [("baseline", 0.0),
                                              ("gflov", 0.4)])
 def test_sa_one_grant_per_output_and_input(monkeypatch, mechanism, gated):
@@ -111,33 +175,133 @@ def test_sa_one_grant_per_output_and_input(monkeypatch, mechanism, gated):
     from repro.config import NoCConfig
     from repro.gating.schedule import StaticGating
     from repro.noc.network import Network
-    from repro.noc.router import Router
     from repro.traffic.generator import TrafficGenerator
     from repro.traffic.patterns import get_pattern
 
-    grants: list[tuple[int, int, object, object]] = []
-    orig = Router._traverse
-
-    def spy(self, in_dir, vci, vc, now):
-        grants.append((self.node, now, in_dir, vc.out_port))
-        return orig(self, in_dir, vci, vc, now)
-
-    monkeypatch.setattr(Router, "_traverse", spy)
-
+    spy = _TraversalSpy(monkeypatch)
     cfg = NoCConfig(mechanism=mechanism, width=4, height=4, seed=3)
     net = Network(cfg)
     net.set_gating(StaticGating(cfg.num_routers, gated, seed=3))
     gen = TrafficGenerator(net, get_pattern("uniform", cfg), 0.25, seed=3)
     gen.run(600)
 
-    assert grants, "no switch traversals recorded"
-    per_cycle: dict[tuple[int, int], list[tuple[object, object]]] = {}
-    for node, now, in_dir, out_port in grants:
-        per_cycle.setdefault((node, now), []).append((in_dir, out_port))
-    for (node, now), pairs in per_cycle.items():
-        outs = [o for _, o in pairs]
-        ins = [i for i, _ in pairs]
+    assert spy.outputs and spy.ejects, "no switch traversals recorded"
+    for (node, now), outs in spy.outputs.items():
         assert len(outs) == len(set(outs)), (
-            f"router {node} cycle {now}: output granted twice: {pairs}")
+            f"router {node} cycle {now}: output granted twice: {outs}")
+    for (node, now), ins in spy.inputs.items():
         assert len(ins) == len(set(ins)), (
-            f"router {node} cycle {now}: input granted twice: {pairs}")
+            f"router {node} cycle {now}: input granted twice: {ins}")
+        assert spy.local_grants((node, now)) in (0, 1), (
+            f"router {node} cycle {now}: LOCAL output granted "
+            f"{spy.local_grants((node, now))} times")
+    for key, count in spy.ejects.items():
+        # a tail ejection is one of the LOCAL-output grants of its cycle
+        assert count == 1 == spy.local_grants(key), (
+            f"router {key[0]} cycle {key[1]}: {count} ejections for "
+            f"{spy.local_grants(key)} LOCAL grants")
+
+
+# -- mask/table SA vs the nested rotated scan ---------------------------------
+
+def _reference_sa(router, now):
+    """The switch allocator as a full scan: every port from
+    ``_sa_in_ptr``, every VC of a port from that port's pointer, testing
+    ``vc.state`` — no masks, no tables.  Read-only; returns the grants
+    ``[(in_dir, vci)]`` in grant order and the pointers after them."""
+    from repro.noc.buffer import VCState
+    from repro.noc.types import Direction
+
+    ports, nports, V = router.ports, len(router.ports), router._V
+    vc_ptr = dict(router._sa_vc_ptr)
+    taken: set = set()
+    grants = []
+    for off in range(nports):
+        in_dir = ports[(router._sa_in_ptr + off) % nports]
+        base = vc_ptr[in_dir]
+        for voff in range(V):
+            vci = (base + voff) % V
+            vc = router.ivc[in_dir][vci]
+            if vc.state is not VCState.ACTIVE:
+                continue
+            front = vc.front
+            if front is None or front.ready > now:
+                continue
+            od = vc.out_port
+            if od in taken:
+                continue
+            waiting_for = router.paused.get(od)
+            if waiting_for and router.logical.get(od) in waiting_for:
+                continue
+            if od is not Direction.LOCAL and router.credits[od][vc.out_vc] <= 0:
+                continue
+            taken.add(od)
+            grants.append((in_dir, vci))
+            vc_ptr[in_dir] = (vci + 1) % V
+            break
+    return grants, (router._sa_in_ptr + 1) % nports, vc_ptr
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mechanism=st.sampled_from(("baseline", "gflov", "rp", "nord")),
+       num_vcs=st.sampled_from((1, 3, 7)),  # 7 + escape: lazy table rows
+       gated=st.sampled_from((0.0, 0.3, 0.6)),
+       rate=st.floats(0.05, 0.45),
+       seed=st.integers(1, 10_000))
+def test_sa_matches_reference_scan(monkeypatch, mechanism, num_vcs, gated,
+                                   rate, seed):
+    """Differential: in every state a run reaches, the mask-driven SA
+    grants what the reference scan grants, in the same order, and leaves
+    the same round-robin pointers."""
+    from repro.config import NoCConfig
+    from repro.gating.schedule import StaticGating
+    from repro.noc.channel import CreditChannel, DelayChannel
+    from repro.noc.network import Network
+    from repro.noc.router import Router
+    from repro.noc.types import Direction
+    from repro.traffic.generator import TrafficGenerator
+    from repro.traffic.patterns import get_pattern
+
+    sends: list = []
+    send_at, allocate = DelayChannel.send_at, Router._switch_allocate
+    calls = 0
+
+    def spy_send(ch, item, arrival):
+        if not isinstance(ch, CreditChannel):
+            sends.append(item)
+        return send_at(ch, item, arrival)
+
+    def checked_allocate(router, now):
+        nonlocal calls
+        calls += 1
+        grants, in_ptr, vc_ptr = _reference_sa(router, now)
+        fronts = {(d, i): router.ivc[d][i].buffer[0] for d, i in grants}
+        before = {(d, i): len(vc.buffer) for d in router.ports
+                  for i, vc in enumerate(router.ivc[d])}
+        link_bound = [fronts[g] for g in grants
+                      if router.ivc[g[0]][g[1]].out_port
+                      is not Direction.LOCAL]
+        del sends[:]
+        allocate(router, now)
+        popped = {key for key, n in before.items()
+                  if len(router.ivc[key[0]][key[1]].buffer) == n - 1}
+        where = f"router {router.node} cycle {now}"
+        assert popped == set(grants), f"{where}: grants differ"
+        assert all(router.ivc[d][i].front is not f
+                   for (d, i), f in fronts.items()), where
+        assert sends == link_bound, f"{where}: traversal order differs"
+        assert router._sa_in_ptr == in_ptr, f"{where}: port pointer"
+        assert router._sa_vc_ptr == vc_ptr, f"{where}: VC pointers"
+
+    with monkeypatch.context() as m:
+        m.setattr(DelayChannel, "send_at", spy_send)
+        m.setattr(Router, "_switch_allocate", checked_allocate)
+        cfg = NoCConfig(mechanism=mechanism, width=4, height=4,
+                        num_vcs=num_vcs, seed=seed)
+        net = Network(cfg)
+        net.set_gating(StaticGating(cfg.num_routers, gated, seed=seed))
+        gen = TrafficGenerator(net, get_pattern("uniform", cfg), rate,
+                               seed=seed)
+        gen.run(250)
+    assert calls, "the run never reached switch allocation"

@@ -10,6 +10,7 @@ These tests pin each of those promises down.
 import pytest
 
 from repro.config import NoCConfig
+from repro.core.power_fsm import PowerState
 from repro.gating.schedule import StaticGating
 from repro.noc.channel import CreditChannel, DelayChannel
 from repro.noc.network import Network
@@ -18,7 +19,11 @@ from repro.traffic.patterns import get_pattern
 
 
 class _RecordingSink:
-    """Quacks like a Router for the kernel's credit delivery loop."""
+    """Quacks like a power-gated Router for the kernel's credit delivery
+    loop (which hands it every credit; a powered router is credited in
+    place)."""
+
+    state = PowerState.SLEEP
 
     def __init__(self):
         self.got = []

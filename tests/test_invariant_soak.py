@@ -7,9 +7,10 @@ tests of single transitions do not cover the interleavings a random
 workload produces.  Each soak run alternates bursts of Bernoulli
 injection with drain phases; whenever the network reaches quiescence we
 check credit conservation, wormhole integrity and (for the FLOV
-mechanisms) logical-pointer coherence.  Wormhole integrity is also
-checked mid-burst — it must hold at *every* cycle, not just quiescent
-ones.
+mechanisms) logical-pointer coherence.  Wormhole integrity and the
+derived-state recount (counters, flags and bitmasks the hot paths keep
+incrementally) are also checked mid-burst — they must hold at *every*
+cycle, not just quiescent ones.
 """
 
 import random
@@ -20,6 +21,7 @@ from repro.config import NoCConfig
 from repro.gating.schedule import StaticGating
 from repro.noc.network import Network
 from repro.noc.validation import (credit_conservation_violations,
+                                  derived_state_violations,
                                   pointer_coherence_violations, quiescent,
                                   wormhole_violations)
 from repro.traffic.generator import TrafficGenerator
@@ -63,6 +65,9 @@ def _soak(mechanism: str, pattern: str, gated_fraction: float,
         v = wormhole_violations(net)
         assert not v, (f"{mechanism}/{pattern}/g={gated_fraction} "
                        f"mid-burst wormhole violation: {v[:5]}")
+        v = derived_state_violations(net)
+        assert not v, (f"{mechanism}/{pattern}/g={gated_fraction} "
+                       f"mid-burst derived state drifted: {v[:5]}")
         drained = _drain_to_quiescence(net)
         assert drained, (f"{mechanism}/{pattern}/g={gated_fraction} "
                          f"did not quiesce within {DRAIN_CAP} cycles "
@@ -73,6 +78,9 @@ def _soak(mechanism: str, pattern: str, gated_fraction: float,
         v = wormhole_violations(net)
         assert not v, (f"{mechanism}/{pattern}/g={gated_fraction} "
                        f"wormhole violated at quiescence: {v[:5]}")
+        v = derived_state_violations(net)
+        assert not v, (f"{mechanism}/{pattern}/g={gated_fraction} "
+                       f"derived state drifted at quiescence: {v[:5]}")
         if mechanism in ("rflov", "gflov"):
             v = pointer_coherence_violations(net)
             assert not v, (f"{mechanism}/{pattern}/g={gated_fraction} "
@@ -114,6 +122,7 @@ def test_soak_gating_churn_gflov():
     for _ in range(4):
         gen.run(300)
         assert not wormhole_violations(net)
+        assert not derived_state_violations(net)
     assert _drain_to_quiescence(net)
     assert not credit_conservation_violations(net)
     assert not wormhole_violations(net)

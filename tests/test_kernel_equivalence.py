@@ -149,43 +149,20 @@ def test_kernels_emit_identical_event_streams_under_epoch_gating():
 # -- active-set and counter bookkeeping --------------------------------------
 
 def _recount_and_check(net):
-    """Cross-check every maintained counter against a full recount."""
-    from repro.noc.buffer import VCState
+    """Cross-check every maintained counter, flag and mask against a
+    full recount (``derived_state_violations``: active mask vs flags,
+    per-port flit / ROUTING counts, the ACTIVE-VC and port bitmasks
+    recounted from ``vc.state``, NoRD's ring busy mask from its queues
+    and its drain-candidate list from a scan over ``gated_cores``);
+    returns the recounted in-fabric flit total."""
+    from repro.noc.validation import derived_state_violations
 
-    fabric_flits = 0
-    mask = net._active_mask
-    for r in net.routers:
-        assert r._active == bool(mask >> r.node & 1), (
-            f"router {r.node}: _active flag and mask bit disagree")
-        if r.occupancy or r.ni._pending:
-            # activation invariant: work implies membership in the scan
-            assert r._active, f"router {r.node} has work but is inactive"
-        n_routing = n_active = occupancy = 0
-        for d in r.ports:
-            port_flits = port_routing = 0
-            for vc in r.ivc[d]:
-                port_flits += len(vc.buffer)
-                if vc.state is VCState.ROUTING:
-                    port_routing += 1
-                elif vc.state is VCState.ACTIVE:
-                    n_active += 1
-            n_routing += port_routing
-            occupancy += port_flits
-            assert r.port_flits[d] == port_flits, (
-                f"router {r.node} port {d}: port_flits counter drifted")
-            assert r._port_routing[d] == port_routing, (
-                f"router {r.node} port {d}: _port_routing counter drifted")
-        assert r.occupancy == occupancy, (
-            f"router {r.node}: occupancy counter drifted")
-        assert r._n_routing == n_routing, (
-            f"router {r.node}: _n_routing counter drifted")
-        assert r._n_active == n_active, (
-            f"router {r.node}: _n_active counter drifted")
-        fabric_flits += occupancy
-    for r in net.routers:
-        for ch in r.out_flit.values():
-            fabric_flits += len(ch)
-    return fabric_flits
+    v = derived_state_violations(net)
+    assert not v, f"derived state drifted at cycle {net.cycle}: {v[:5]}"
+    return (sum(len(vc.buffer) for r in net.routers
+                for vcs in r.ivc.values() for vc in vcs)
+            + sum(len(ch) for r in net.routers
+                  for ch in r.out_flit.values()))
 
 
 @pytest.mark.parametrize("mechanism,fraction",
@@ -212,6 +189,34 @@ def test_active_set_bookkeeping_under_traffic(mechanism, fraction):
             if mechanism != "nord":  # ring flits live outside the fabric
                 assert net._flits == fabric, "in-fabric flit counter drifted"
             assert net.network_drained() == net.network_drained_slow()
+
+
+@pytest.mark.parametrize("kernel", ("active", "dense"))
+def test_nord_derived_state_tracks_schedule_changes(kernel):
+    """NoRD's drain-candidate list and ring busy mask are rebuilt or
+    patched at schedule changes, drain starts and ring hops: recount
+    them every cycle across re-gating epochs, on both kernels."""
+    from repro.config import NoCConfig
+    from repro.gating.schedule import random_epochs
+    from repro.noc.network import Network
+    from repro.traffic.generator import TrafficGenerator
+    from repro.traffic.patterns import get_pattern
+
+    cfg = NoCConfig(mechanism="nord", width=4, height=4, seed=5,
+                    idle_threshold=16)
+    net = Network(cfg, kernel=kernel)
+    net.set_gating(random_epochs(cfg.num_routers, (0.3, 0.7, 0.2, 0.6),
+                                 (90, 200, 330), seed=5))
+    gen = TrafficGenerator(net, get_pattern("uniform", cfg), 0.15, seed=5)
+    seen_candidates = seen_ring = False
+    for _ in range(450):
+        gen.tick()
+        net.step()
+        _recount_and_check(net)
+        seen_candidates |= bool(net.mech._drain_candidates)
+        seen_ring |= bool(net.mech.ring.busy)
+    assert seen_candidates and seen_ring, "run never exercised the state"
+    assert net.mech.diversions, "no packet was diverted onto the ring"
 
 
 def test_idle_network_active_set_collapses():

@@ -135,3 +135,25 @@ def test_power_report_watts():
     static_w = 64 * PowerConfig().router_static_w + 224 * PowerConfig().link_static_w
     assert p["static"] == pytest.approx(static_w)
     assert p["total"] >= p["static"]
+
+
+def test_ring_hop_charges_every_flit_of_the_packet():
+    """NoRD's bypass ring moves a whole packet per hop and charges it in
+    one bulk call: the counters must read what one ``on_flov_hop()`` per
+    flit reads."""
+    from repro.noc.network import Network
+    from repro.noc.types import make_packet
+
+    net = Network(NoCConfig(mechanism="nord", width=2, height=2))
+    ring = net.mech.ring
+    assert ring.order == [0, 1, 3, 2]
+    pkt = make_packet(1, 0, 3, 4)[0].packet  # 4 flits, three ring hops
+    ring.insert(pkt, 0, now=0)
+    reference = make_acct()
+    for now in (2, 4, 6):
+        ring.step(now)
+        for _ in range(pkt.size):
+            reference.on_flov_hop()
+        assert net.accountant.counters() == reference.counters()
+    assert pkt.eject_time == 7 and pkt.flov_hops == 3 and not len(ring)
+    assert reference.counters()["flov_latches"] == 12
