@@ -37,7 +37,9 @@ MECHANISMS = FIGURE_MECHANISMS
 
 def _progress(done: int, total: int, task, result, from_cache: bool) -> None:
     tag = "cache" if from_cache else "run"
-    print(f"[{done}/{total}] {tag} {getattr(task, 'mechanism', task)}",
+    # a SweepTask, or a bare map_callable item (the PARSEC pairs)
+    spec = getattr(task, "spec", None)
+    print(f"[{done}/{total}] {tag} {spec.mechanism if spec else task}",
           file=sys.stderr)
 
 

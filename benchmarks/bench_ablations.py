@@ -12,6 +12,7 @@
 from _common import ENGINE, FULL, banner
 
 from repro.harness import SweepTask
+from repro.spec import ExperimentSpec, SweepSpec
 
 MEASURE = 30_000 if FULL else 5_000
 WARMUP = 3_000 if FULL else 1_000
@@ -26,12 +27,13 @@ def test_ablation_wakeup_latency(benchmark):
         period = max(MEASURE // 6, 500)
         bounds = [period * (i + 1) for i in range(5)]
         wls = (5, 10, 20, 50, 100)
-        tasks = [SweepTask("gflov", rate=0.02,
+        tasks = [SweepTask(ExperimentSpec(
+                               "gflov", rate=0.02, warmup=0,
+                               measure=WARMUP + MEASURE, seed=11,
+                               overrides={"wakeup_latency": wl}),
                            schedule=random_epochs(
                                64, [0.5, 0.2, 0.5, 0.3, 0.5, 0.2],
-                               bounds, seed=11),
-                           warmup=0, measure=WARMUP + MEASURE, seed=11,
-                           overrides={"wakeup_latency": wl})
+                               bounds, seed=11))
                  for wl in wls]
         return dict(zip(wls, ENGINE.run(tasks)))
 
@@ -49,9 +51,10 @@ def test_ablation_escape_timeout(benchmark):
 
     def run():
         tos = (8, 16, 32, 64, 128)
-        tasks = [SweepTask("gflov", rate=0.02, gated_fraction=0.4,
-                           warmup=WARMUP, measure=MEASURE, seed=11,
-                           overrides={"escape_timeout": to})
+        tasks = [SweepTask(ExperimentSpec(
+                     "gflov", rate=0.02, gated_fraction=0.4,
+                     warmup=WARMUP, measure=MEASURE, seed=11,
+                     overrides={"escape_timeout": to}))
                  for to in tos]
         return dict(zip(tos, ENGINE.run(tasks)))
 
@@ -68,9 +71,10 @@ def test_ablation_mesh_size(benchmark):
 
     def run():
         ks = (4, 6, 8, 12)
-        tasks = [SweepTask(mech, rate=0.02, gated_fraction=0.5,
-                           warmup=WARMUP // 2, measure=MEASURE // 2, seed=11,
-                           overrides={"width": k, "height": k})
+        tasks = [SweepTask(ExperimentSpec(
+                     mech, rate=0.02, gated_fraction=0.5,
+                     warmup=WARMUP // 2, measure=MEASURE // 2, seed=11,
+                     overrides={"width": k, "height": k}))
                  for k in ks for mech in ("baseline", "gflov")]
         results = ENGINE.run(tasks)
         return {k: (results[2 * i], results[2 * i + 1])
@@ -95,9 +99,10 @@ def test_ablation_rp_policy(benchmark):
 
     def run():
         policies = ("aggressive", "adaptive")
-        tasks = [SweepTask("rp", rate=0.08, gated_fraction=0.5,
-                           warmup=WARMUP, measure=MEASURE, seed=17,
-                           overrides={"rp_policy": policy})
+        tasks = [SweepTask(ExperimentSpec(
+                     "rp", rate=0.08, gated_fraction=0.5,
+                     warmup=WARMUP, measure=MEASURE, seed=17,
+                     overrides={"rp_policy": policy}))
                  for policy in policies]
         return dict(zip(policies, ENGINE.run(tasks)))
 
@@ -118,11 +123,12 @@ def test_ablation_saturation(benchmark):
     banner("Ablation A5", "saturation behavior at 40% gated (uniform)")
 
     def run():
-        from repro.harness import sweep_rates
-        return sweep_rates(["baseline", "gflov"],
-                           rates=(0.05, 0.15, 0.25),
-                           gated_fraction=0.4, warmup=WARMUP // 2,
-                           measure=MEASURE // 2, seed=17, engine=ENGINE)
+        from repro.harness import run_sweep_spec
+        return run_sweep_spec(
+            SweepSpec(mechanisms=("baseline", "gflov"),
+                      rates=(0.05, 0.15, 0.25), gated_fractions=(0.4,),
+                      warmup=WARMUP // 2, measure=MEASURE // 2, seed=17),
+            engine=ENGINE)
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"{'rate':>6} {'baseline lat':>13} {'gflov lat':>10} "

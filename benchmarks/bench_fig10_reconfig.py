@@ -11,6 +11,7 @@ from _common import ENGINE, FULL, banner
 
 from repro.gating.schedule import random_epochs
 from repro.harness import SweepTask, timeline_table
+from repro.spec import ExperimentSpec
 
 TOTAL = 100_000 if FULL else 20_000
 CHANGE1, CHANGE2 = TOTAL // 2, int(TOTAL * 0.6)
@@ -23,10 +24,11 @@ def _run():
     series = {}
     peaks = {}
     # schedule-carrying tasks are uncacheable but still fan out in the pool
-    tasks = [SweepTask(mech, pattern="uniform", rate=0.02,
+    tasks = [SweepTask(ExperimentSpec(mech, pattern="uniform", rate=0.02,
+                                      warmup=0, measure=TOTAL,
+                                      keep_samples=True, seed=9),
                        schedule=random_epochs(64, [0.10, 0.10, 0.10],
-                                              [CHANGE1, CHANGE2], seed=9),
-                       warmup=0, measure=TOTAL, keep_samples=True, seed=9)
+                                              [CHANGE1, CHANGE2], seed=9))
              for mech in MECHS]
     results = ENGINE.run(tasks)
     for mech, res in zip(MECHS, results):

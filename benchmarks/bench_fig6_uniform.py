@@ -9,13 +9,15 @@ power everywhere; RP suffers more at the 0.08 rate.
 
 from _common import ENGINE, FRACTIONS, MEASURE, MECHANISMS, WARMUP, banner
 
-from repro.harness import line_chart, series_table, sweep_fractions
+from repro.harness import line_chart, run_sweep_spec, series_table
+from repro.spec import SweepSpec
 
 
 def _run(rate: float):
-    return sweep_fractions(MECHANISMS, FRACTIONS, pattern="uniform",
-                           rate=rate, warmup=WARMUP, measure=MEASURE,
-                           engine=ENGINE)
+    return run_sweep_spec(
+        SweepSpec(mechanisms=MECHANISMS, gated_fractions=FRACTIONS,
+                  pattern="uniform", rates=(rate,), warmup=WARMUP,
+                  measure=MEASURE), engine=ENGINE)
 
 
 def _report(series, rate: float) -> None:

@@ -9,13 +9,15 @@ power.
 
 from _common import ENGINE, FRACTIONS, MEASURE, MECHANISMS, WARMUP, banner
 
-from repro.harness import line_chart, series_table, sweep_fractions
+from repro.harness import line_chart, run_sweep_spec, series_table
+from repro.spec import SweepSpec
 
 
 def _run(rate: float):
-    return sweep_fractions(MECHANISMS, FRACTIONS, pattern="tornado",
-                           rate=rate, warmup=WARMUP, measure=MEASURE,
-                           engine=ENGINE)
+    return run_sweep_spec(
+        SweepSpec(mechanisms=MECHANISMS, gated_fractions=FRACTIONS,
+                  pattern="tornado", rates=(rate,), warmup=WARMUP,
+                  measure=MEASURE), engine=ENGINE)
 
 
 def _report(series, rate: float) -> None:

@@ -11,13 +11,16 @@ gated fraction under Uniform Random and stays small under Tornado
 
 from _common import ENGINE, FRACTIONS, MEASURE, MECHANISMS, WARMUP, banner
 
-from repro.harness import breakdown_table, sweep_fractions
+from repro.harness import breakdown_table, run_sweep_spec
+from repro.spec import SweepSpec
 
 
 def _run(pattern: str):
     fr = [f for f in FRACTIONS if f in (0.0, 0.2, 0.4, 0.6, 0.8)]
-    return sweep_fractions(MECHANISMS, fr, pattern=pattern, rate=0.02,
-                           warmup=WARMUP, measure=MEASURE, engine=ENGINE)
+    return run_sweep_spec(
+        SweepSpec(mechanisms=MECHANISMS, gated_fractions=fr,
+                  pattern=pattern, rates=(0.02,), warmup=WARMUP,
+                  measure=MEASURE), engine=ENGINE)
 
 
 def test_fig8a_uniform_breakdown(benchmark):

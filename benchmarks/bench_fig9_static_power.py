@@ -12,13 +12,16 @@ fraction; rFLOV saturates near half the routers gated.
 
 from _common import ENGINE, FRACTIONS, MECHANISMS, banner
 
-from repro.harness import line_chart, series_table, sweep_fractions
+from repro.harness import line_chart, run_sweep_spec, series_table
+from repro.spec import SweepSpec
 
 
 def _run():
-    return sweep_fractions(MECHANISMS, FRACTIONS, pattern="uniform",
-                           rate=0.02, warmup=1_000, measure=4_000,
-                           rp_policy="aggressive", engine=ENGINE)
+    return run_sweep_spec(
+        SweepSpec(mechanisms=MECHANISMS, gated_fractions=FRACTIONS,
+                  pattern="uniform", rates=(0.02,), warmup=1_000,
+                  measure=4_000, overrides={"rp_policy": "aggressive"}),
+        engine=ENGINE)
 
 
 def test_fig9_static_power(benchmark):

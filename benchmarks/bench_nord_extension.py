@@ -10,6 +10,7 @@ FLOV's fly-over latency stays per-hop.
 from _common import ENGINE, MEASURE, WARMUP, banner
 
 from repro.harness import SweepTask
+from repro.spec import ExperimentSpec
 
 
 def test_nord_vs_gflov(benchmark):
@@ -17,8 +18,9 @@ def test_nord_vs_gflov(benchmark):
 
     def run():
         mechs, fracs = ("gflov", "nord"), (0.2, 0.4, 0.6)
-        tasks = [SweepTask(mech, rate=0.02, gated_fraction=frac,
-                           warmup=WARMUP, measure=MEASURE, seed=13)
+        tasks = [SweepTask(ExperimentSpec(
+                     mech, rate=0.02, gated_fraction=frac,
+                     warmup=WARMUP, measure=MEASURE, seed=13))
                  for mech in mechs for frac in fracs]
         results = ENGINE.run(tasks)
         return {mech: dict(zip(fracs,
@@ -43,9 +45,10 @@ def test_nord_ring_scaling(benchmark):
 
     def run():
         ks, mechs = (4, 8, 12), ("gflov", "nord")
-        tasks = [SweepTask(mech, rate=0.02, gated_fraction=0.2,
-                           warmup=WARMUP // 2, measure=MEASURE // 2, seed=13,
-                           overrides={"width": k, "height": k})
+        tasks = [SweepTask(ExperimentSpec(
+                     mech, rate=0.02, gated_fraction=0.2,
+                     warmup=WARMUP // 2, measure=MEASURE // 2, seed=13,
+                     overrides={"width": k, "height": k}))
                  for k in ks for mech in mechs]
         results = ENGINE.run(tasks)
         return {k: {mech: results[i * len(mechs) + j]

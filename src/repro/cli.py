@@ -5,8 +5,6 @@ Commands
 
 ``info``
     Print the Table-I configuration and the power model calibration.
-``synthetic``
-    Run one synthetic-traffic experiment and print its metrics.
 ``sweep``
     Latency/power vs. gated fraction for chosen mechanisms (Fig 6/9
     style).
@@ -15,9 +13,10 @@ Commands
 ``trace``
     Record a synthetic workload to a trace file, or replay one.
 ``run``
-    Run one synthetic experiment with the observability layer attached:
-    structured event traces (JSONL and/or Chrome-trace for Perfetto) and
-    sampled metrics (CSV/JSON).  See ``docs/observability.md``.
+    Run one synthetic-traffic experiment and print its metrics,
+    optionally with the observability layer attached: structured event
+    traces (JSONL and/or Chrome-trace for Perfetto) and sampled metrics
+    (CSV/JSON).  See ``docs/observability.md``.
 ``analyze``
     Turn a recorded JSONL trace (plus optional metrics CSV) into an
     attribution report: per-packet journeys, latency decomposition,
@@ -26,9 +25,6 @@ Commands
     Run one experiment with the kernel phase profiler attached and
     report where the wall time went (handshake / delivery / evaluate /
     sampler).
-``bench diff``
-    Compare two ``BENCH_kernel.json`` snapshots cell by cell and flag
-    ratio regressions.
 ``spec``
     Validate, hash, or execute a declarative experiment/sweep spec file
     (``*.toml`` / ``*.json``; see ``docs/specs.md``).
@@ -53,13 +49,19 @@ from .registry import KERNELS, MECHANISMS, PATTERNS, load_plugins
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """Flags describing one experiment cell."""
     p.add_argument("--mechanism", "-m", default="gflov",
                    choices=MECHANISMS.names())
+    p.add_argument("--gated", type=float, default=0.0,
+                   help="fraction of cores power-gated")
+    _add_workload(p)
+
+
+def _add_workload(p: argparse.ArgumentParser) -> None:
+    """The cell flags a sweep shares (it grids mechanism and gating)."""
     p.add_argument("--rate", type=float, default=0.02,
                    help="injection rate, flits/cycle/node")
     p.add_argument("--pattern", default="uniform", choices=PATTERNS.names())
-    p.add_argument("--gated", type=float, default=0.0,
-                   help="fraction of cores power-gated")
     p.add_argument("--warmup", type=int, default=None)
     p.add_argument("--measure", type=int, default=None)
     p.add_argument("--seed", type=int, default=1)
@@ -91,6 +93,26 @@ def _parse_pattern_args(pairs: list[str]) -> dict:
         except json.JSONDecodeError:
             out[key] = value
     return out
+
+
+def _cell_spec(args: argparse.Namespace,
+               pattern_args: list[str] | None = None):
+    """Compile the :func:`_add_common` flags into an ExperimentSpec."""
+    from .spec import ExperimentSpec
+
+    return ExperimentSpec(
+        mechanism=args.mechanism, pattern=args.pattern,
+        pattern_kwargs=_parse_pattern_args(pattern_args),
+        rate=args.rate, gated_fraction=args.gated, warmup=args.warmup,
+        measure=args.measure, seed=args.seed, kernel=args.kernel or None,
+        overrides={"width": args.width, "height": args.height})
+
+
+def _checkpoint_kwargs(args: argparse.Namespace) -> dict:
+    if not args.checkpoint_every:
+        return {}
+    return {"checkpoint_every": args.checkpoint_every,
+            "checkpoint_dir": args.checkpoint_dir}
 
 
 def _interrupted(command: str, args: argparse.Namespace) -> int:
@@ -155,7 +177,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def _print_result(r) -> None:
-    """Human-readable summary of an ExperimentResult (synthetic/spec run)."""
+    """Human-readable summary of an ExperimentResult."""
     print(f"mechanism          {r.mechanism}")
     print(f"pattern/rate       {r.pattern} @ {r.rate}")
     print(f"gated fraction     {r.gated_fraction:.0%} "
@@ -172,63 +194,54 @@ def _print_result(r) -> None:
           f"total {r.total_w * 1e3:.1f} mW")
 
 
-def cmd_synthetic(args: argparse.Namespace) -> int:
-    from .harness import run_synthetic
-    from .spec import SpecError
+def cmd_sweep(args: argparse.Namespace) -> int:
+    from .spec import SweepSpec
 
     try:
-        pattern_kwargs = _parse_pattern_args(args.pattern_args)
-        r = run_synthetic(args.mechanism, pattern=args.pattern,
-                          pattern_kwargs=pattern_kwargs,
-                          rate=args.rate,
-                          gated_fraction=args.gated, warmup=args.warmup,
-                          measure=args.measure, seed=args.seed,
-                          width=args.width, height=args.height)
-    except (SpecError, ValueError) as exc:
-        print(f"repro synthetic: error: {exc}", file=sys.stderr)
+        spec = SweepSpec(
+            mechanisms=tuple(args.mechanisms.split(",")),
+            pattern=args.pattern, rates=(args.rate,),
+            gated_fractions=tuple(float(f)
+                                  for f in args.fractions.split(",")),
+            warmup=args.warmup, measure=args.measure, seed=args.seed,
+            kernel=args.kernel or None,
+            overrides={"width": args.width, "height": args.height})
+    except ValueError as exc:  # SpecError included
+        print(f"repro sweep: error: {exc}", file=sys.stderr)
         return 2
-    _print_result(r)
-    return 0
+    return _run_sweep("sweep", spec, args, verbose=args.verbose)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from .harness import (BatchedSweep, ParallelSweep, series_table,
-                          sweep_fractions)
-
-    mechs = args.mechanisms.split(",")
-    fracs = [float(f) for f in args.fractions.split(",")]
+def _run_sweep(command: str, spec, args: argparse.Namespace, *,
+               verbose: bool = False) -> int:
+    """Execute a SweepSpec and print its tables ('sweep' / 'spec run')."""
+    from .harness import (BatchedExecutor, ParallelSweep, run_sweep_spec,
+                          series_table)
+    from .harness.cache import result_to_dict, stable_digest
 
     def progress(done: int, total: int, task, result,
                  from_cache: bool) -> None:
         tag = "cache" if from_cache else "run"
-        print(f"\r[{done}/{total}] {tag:>5} {task.mechanism:>8} "
-              f"gated={task.gated_fraction:.1f}", end="", file=sys.stderr)
+        print(f"\r[{done}/{total}] {tag:>5} {task.spec.mechanism:>8} "
+              f"gated={task.spec.gated_fraction:.1f}", end="",
+              file=sys.stderr)
         if done == total:
             print(file=sys.stderr)
 
-    ck = {}
-    if args.checkpoint_every:
-        ck = {"checkpoint_every": args.checkpoint_every,
-              "checkpoint_dir": args.checkpoint_dir}
-    if args.kernel == "batched":
-        engine = BatchedSweep(args.batch_size, use_cache=not args.no_cache,
-                              progress=progress if args.verbose else None,
-                              **ck)
-        workers = f"batch size {engine.batch_size}"
-    else:
-        engine = ParallelSweep(args.jobs, use_cache=not args.no_cache,
-                               progress=progress if args.verbose else None,
-                               **ck)
-        workers = f"{engine.max_workers} workers"
+    batched = spec.kernel == "batched"
+    engine = ParallelSweep(
+        args.jobs, use_cache=not args.no_cache,
+        executor=BatchedExecutor(args.batch_size) if batched else None,
+        progress=progress if verbose else None,
+        **_checkpoint_kwargs(args))
+    workers = (f"batch size {args.batch_size}" if batched
+               else f"{engine.max_workers} workers")
     try:
-        series = sweep_fractions(mechs, fracs, pattern=args.pattern,
-                                 rate=args.rate, seed=args.seed,
-                                 warmup=args.warmup, measure=args.measure,
-                                 engine=engine)
+        series = run_sweep_spec(spec, engine=engine)
     except KeyboardInterrupt:
-        return _interrupted("sweep", args)
-    print(f"sweep: {len(mechs) * len(fracs)} tasks, "
-          f"{engine.last_cache_hits} cache hits, "
+        return _interrupted(command, args)
+    cells = sum(len(rs) for rs in series.values())
+    print(f"sweep: {cells} cells, {engine.last_cache_hits} cache hits, "
           f"executed {engine.last_mode} ({workers})")
     print()
     print(series_table("avg latency (cycles)", series, "avg_latency"))
@@ -236,6 +249,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(series_table("static power (mW)", series, "static_w", scale=1e3))
     print()
     print(series_table("total power (mW)", series, "total_w", scale=1e3))
+    # one digest over every cell, in cell order: lets CI assert
+    # cross-kernel equality of a whole sweep with a single grep
+    digest = stable_digest(
+        {m: [result_to_dict(r) for r in rs] for m, rs in series.items()})
+    print()
+    print(f"results digest     {digest}")
     return 0
 
 
@@ -294,7 +313,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .harness import run_synthetic
+    from .harness import run_spec
     from .obs import (DEFAULT_CAPACITY, EVENT_KINDS, Tracer,
                       write_chrome_trace, write_jsonl)
 
@@ -311,25 +330,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                 return 2
         tracer = Tracer(args.trace_capacity or DEFAULT_CAPACITY, kinds=kinds)
     try:
-        pattern_kwargs = _parse_pattern_args(args.pattern_args)
-        r = run_synthetic(args.mechanism, pattern=args.pattern,
-                          pattern_kwargs=pattern_kwargs, rate=args.rate,
-                          gated_fraction=args.gated, warmup=args.warmup,
-                          measure=args.measure, seed=args.seed,
-                          width=args.width, height=args.height,
-                          kernel=args.kernel or None,
-                          tracer=tracer,
-                          metrics_path=args.metrics or None,
-                          metrics_every=args.metrics_every)
-    except ValueError as exc:
+        r = run_spec(_cell_spec(args, args.pattern_args), tracer=tracer,
+                     metrics_path=args.metrics or None,
+                     metrics_every=args.metrics_every)
+    except ValueError as exc:  # SpecError included
         print(f"repro run: error: {exc}", file=sys.stderr)
         return 2
-    print(f"mechanism          {r.mechanism}")
-    print(f"pattern/rate       {r.pattern} @ {r.rate}")
-    print(f"gated fraction     {r.gated_fraction:.0%} "
-          f"({r.sleeping_routers} routers asleep)")
-    print(f"packets measured   {r.packets}")
-    print(f"avg latency        {r.avg_latency:.2f} cycles")
+    _print_result(r)
     if tracer is not None:
         if tracer.dropped > 0:
             print(f"repro run: WARNING: tracer ring overflowed — "
@@ -404,12 +411,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     from .obs import profile_run
 
-    r = profile_run(args.mechanism, pattern=args.pattern, rate=args.rate,
-                    gated_fraction=args.gated, warmup=args.warmup,
-                    measure=args.measure, seed=args.seed,
-                    kernel=args.kernel or None,
-                    metrics_every=args.metrics_every,
-                    width=args.width, height=args.height)
+    try:
+        spec = _cell_spec(args)
+    except ValueError as exc:  # SpecError included
+        print(f"repro profile: error: {exc}", file=sys.stderr)
+        return 2
+    r = profile_run(spec, metrics_every=args.metrics_every)
     print(r.render())
     if args.json:
         with open(args.json, "w") as fh:
@@ -424,25 +431,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .harness import diff_bench
-
-    try:
-        diff = diff_bench(args.old, args.new, tolerance=args.tolerance)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"repro bench diff: error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(diff.as_dict(), indent=2))
-    else:
-        print(diff.render(markdown=args.md))
-    return 0 if diff.ok else 1
-
-
 def cmd_spec(args: argparse.Namespace) -> int:
-    from .spec import ExperimentSpec, SpecError, SweepSpec, load_spec_file
+    from .spec import SpecError, SweepSpec, load_spec_file
 
     try:
         spec = load_spec_file(args.file)
@@ -466,68 +456,37 @@ def cmd_spec(args: argparse.Namespace) -> int:
     # run
     if args.kernel:
         spec = dataclasses.replace(spec, kernel=args.kernel)
-    ck = {}
-    if args.checkpoint_every:
-        ck = {"checkpoint_every": args.checkpoint_every,
-              "checkpoint_dir": args.checkpoint_dir}
-    if isinstance(spec, ExperimentSpec):
-        from .harness import run_spec
-        from .harness.cache import result_to_dict, stable_digest
+    if isinstance(spec, SweepSpec):
+        return _run_sweep("spec run", spec, args)
 
-        if ck and spec.workload is None:
-            from .harness.checkpoint import checkpoint_path
-            path = checkpoint_path(args.checkpoint_dir, spec)
-            if path.exists():
-                print(f"repro spec run: resuming from checkpoint {path}",
-                      file=sys.stderr)
-                ck["resume_from"] = path
-        try:
-            r = run_spec(spec, **ck)
-        except KeyboardInterrupt:
-            return _interrupted("spec run", args)
-        except ValueError as exc:
-            print(f"repro spec run: error: {exc}", file=sys.stderr)
-            return 2
-        if spec.workload is not None:
-            flag = "" if r.finished else "  (cycle cap!)"
-            print(f"workload           {spec.workload} ({spec.mechanism})")
-            print(f"runtime            {r.runtime_cycles} cycles{flag}")
-            print(f"energy             static {r.static_j * 1e6:.2f} uJ | "
-                  f"total {r.total_j * 1e6:.2f} uJ")
-            print(f"sleeping routers   {r.sleeping_routers}")
-            return 0
-        _print_result(r)
-        print(f"result digest      {stable_digest(result_to_dict(r))}")
-        return 0
-
-    from .harness import BatchedSweep, ParallelSweep, run_sweep_spec, \
-        series_table
+    from .harness import run_spec
     from .harness.cache import result_to_dict, stable_digest
 
-    if args.kernel == "batched":
-        engine = BatchedSweep(args.batch_size, use_cache=not args.no_cache,
-                              **ck)
-        workers = f"batch size {engine.batch_size}"
-    else:
-        engine = ParallelSweep(args.jobs, use_cache=not args.no_cache, **ck)
-        workers = f"{engine.max_workers} workers"
+    ck = _checkpoint_kwargs(args)
+    if ck and spec.workload is None:
+        from .harness.checkpoint import checkpoint_path
+        path = checkpoint_path(args.checkpoint_dir, spec)
+        if path.exists():
+            print(f"repro spec run: resuming from checkpoint {path}",
+                  file=sys.stderr)
+            ck["resume_from"] = path
     try:
-        series = run_sweep_spec(spec, engine=engine)
+        r = run_spec(spec, **ck)
     except KeyboardInterrupt:
         return _interrupted("spec run", args)
-    cells = sum(len(rs) for rs in series.values())
-    print(f"sweep: {cells} cells, {engine.last_cache_hits} cache hits, "
-          f"executed {engine.last_mode} ({workers})")
-    print()
-    print(series_table("avg latency (cycles)", series, "avg_latency"))
-    print()
-    print(series_table("total power (mW)", series, "total_w", scale=1e3))
-    # one digest over every cell, in cell order: lets CI assert
-    # cross-kernel equality of a whole sweep with a single grep
-    digest = stable_digest(
-        {m: [result_to_dict(r) for r in rs] for m, rs in series.items()})
-    print()
-    print(f"results digest     {digest}")
+    except ValueError as exc:
+        print(f"repro spec run: error: {exc}", file=sys.stderr)
+        return 2
+    if spec.workload is not None:
+        flag = "" if r.finished else "  (cycle cap!)"
+        print(f"workload           {spec.workload} ({spec.mechanism})")
+        print(f"runtime            {r.runtime_cycles} cycles{flag}")
+        print(f"energy             static {r.static_j * 1e6:.2f} uJ | "
+              f"total {r.total_j * 1e6:.2f} uJ")
+        print(f"sleeping routers   {r.sleeping_routers}")
+        return 0
+    _print_result(r)
+    print(f"result digest      {stable_digest(result_to_dict(r))}")
     return 0
 
 
@@ -697,7 +656,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.host, args.port, workers=args.workers,
         executor=args.executor, batch_size=args.batch_size,
         use_cache=not args.no_cache,
-        bench_source=args.bench_snapshot or None,
         telemetry_dir=args.telemetry_dir or None,
         state_dir=args.state_dir or None,
         checkpoint_every=args.checkpoint_every)
@@ -793,12 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     from .harness.sweep import FIGURE_MECHANISMS
 
-    p = sub.add_parser("synthetic", help="run one synthetic experiment")
-    _add_common(p)
-    _add_pattern_arg(p)
-
     p = sub.add_parser("sweep", help="sweep gated fractions (Fig 6/9)")
-    _add_common(p)
+    _add_workload(p)
     p.add_argument("--mechanisms", default=",".join(FIGURE_MECHANISMS))
     p.add_argument("--fractions", default="0.0,0.2,0.4,0.6,0.8")
     p.add_argument("--jobs", "-j", type=int, default=None,
@@ -832,7 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace file to replay instead of recording")
 
     p = sub.add_parser(
-        "run", help="run one experiment with tracing/metrics attached")
+        "run", help="run one synthetic experiment (tracing/metrics "
+                    "optional)")
     _add_common(p)
     _add_pattern_arg(p)
     p.add_argument("--kernel", default="",
@@ -890,22 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "than this fraction of kernel wall time")
 
     p = sub.add_parser(
-        "bench", help="benchmark snapshot tooling")
-    bsub = p.add_subparsers(dest="bench_command", required=True)
-    p = bsub.add_parser(
-        "diff", help="compare two BENCH_kernel.json snapshots")
-    p.add_argument("old", help="recorded snapshot (e.g. BENCH_kernel.json)")
-    p.add_argument("new", help="freshly measured snapshot")
-    p.add_argument("--tolerance", type=float, default=0.30,
-                   help="allowed fractional dense/active ratio drop "
-                        "(default 0.30, matching the CI gate)")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true",
-                     help="emit the machine-readable diff")
-    fmt.add_argument("--md", action="store_true",
-                     help="render the diff as a Markdown table")
-
-    p = sub.add_parser(
         "verify", help="fault-injection verification of the FLOV handshake")
     vsub = p.add_subparsers(dest="verify_command", required=True)
     vp = vsub.add_parser(
@@ -958,9 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 8; only with --executor batched)")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the shared on-disk result cache")
-    p.add_argument("--bench-snapshot", default="",
-                   help="path or URL of a BENCH_kernel.json served on "
-                        "GET /bench")
     p.add_argument("--log-json", action="store_true",
                    help="structured JSON logging; every service line "
                         "carries the job's trace/span ids")
@@ -1039,14 +975,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "info": cmd_info,
-        "synthetic": cmd_synthetic,
         "sweep": cmd_sweep,
         "parsec": cmd_parsec,
         "trace": cmd_trace,
         "run": cmd_run,
         "analyze": cmd_analyze,
         "profile": cmd_profile,
-        "bench": cmd_bench,
         "spec": cmd_spec,
         "checkpoint": cmd_checkpoint,
         "verify": cmd_verify,

@@ -144,7 +144,7 @@ class ResultCache:
     """Content-addressed store of experiment results on disk.
 
     ``get``/``put`` take the *key dict* (see
-    :meth:`repro.harness.parallel.SweepTask.cache_key`); the digest and
+    :meth:`repro.spec.ExperimentSpec.cache_key`); the digest and
     file layout are internal.  Hit/miss counters are kept for progress
     reporting.
     """

@@ -18,15 +18,13 @@ problem in two layers:
   (:mod:`repro.service`) — pick a strategy without caring about
   process pools, and a multi-host shard executor has a seam to slot
   into later.
-* **Engines** (:class:`ParallelSweep` and its thin subclass
-  :class:`BatchedSweep`) wrap an executor with the shared policy:
-  consult the content-addressed on-disk cache first
+* The **engine** (:class:`ParallelSweep`) wraps an executor with the
+  shared policy: consult the content-addressed on-disk cache first
   (:mod:`repro.harness.cache`), hand only the misses to the executor,
   persist fresh results, and report progress through an optional
   callback.
 
-Determinism: every task carries an explicit seed (or derives one
-stably from its own identity via :func:`derive_task_seed`), so results
+Determinism: every task's spec carries an explicit seed, so results
 are bit-identical across every executor and cache replay — the
 determinism and executor-equivalence regression tests assert exactly
 this.
@@ -35,18 +33,16 @@ this.
 from __future__ import annotations
 
 import concurrent.futures as cf
-import hashlib
 from concurrent.futures.process import BrokenProcessPool
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
-from ..config import NoCConfig
 from ..gating.schedule import GatingSchedule
 from ..spec import ExperimentSpec
 from .cache import ResultCache, cache_enabled
-from .runner import ExperimentResult, default_cycles, run_spec
+from .runner import ExperimentResult, run_spec
 
 #: signature: progress(done, total, task_or_item, result, from_cache)
 ProgressFn = Callable[[int, int, Any, Any, bool], None]
@@ -80,44 +76,21 @@ def default_task_timeout() -> float:
     return 600.0
 
 
-def derive_task_seed(base_seed: int, *parts: Any) -> int:
-    """Deterministic per-task seed from a base seed and task identity.
-
-    Stable across processes and Python invocations (SHA-256, not
-    ``hash()``), so serial, parallel, and resumed runs agree on the seed
-    of every task regardless of execution order.
-    """
-    blob = repr((base_seed, parts)).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") % (2**31)
-
-
 @dataclass
 class SweepTask:
-    """One experiment invocation, picklable and cache-keyable.
+    """One engine work item: an :class:`~repro.spec.ExperimentSpec` plus
+    what is not data — an optional live ``schedule`` object and the
+    runtime attachments the engine stamps.
 
-    A task is a thin mutable veneer over an
-    :class:`~repro.spec.ExperimentSpec` (see :meth:`spec` /
-    :meth:`from_spec`); the spec is the authority for validation, cache
-    keys and execution.  ``seed=None`` derives a deterministic per-task
-    seed from the task's own identity (mechanism/pattern/rate/fraction).
+    The spec is the authority for validation, cache keys and execution.
     A task carrying a live ``schedule`` *object* is executed but never
     cached (arbitrary schedule objects are not content-hashed; use the
     spec's declarative schedule mapping to get cacheable scheduled
     runs).
     """
 
-    mechanism: str
-    pattern: str = "uniform"
-    rate: float = 0.02
-    gated_fraction: float = 0.0
-    warmup: int | None = None
-    measure: int | None = None
-    seed: int | None = 1
-    drain: bool = True
-    keep_samples: bool = False
+    spec: ExperimentSpec
     schedule: GatingSchedule | None = None
-    overrides: dict[str, Any] = field(default_factory=dict)
-    pattern_kwargs: dict[str, Any] = field(default_factory=dict)
     #: distributed-trace context stamped by the engine (never user-set);
     #: excluded from equality and from the cache key — tracing a task
     #: must not change what it computes or where it is stored
@@ -137,78 +110,15 @@ class SweepTask:
 
     @classmethod
     def from_spec(cls, spec: ExperimentSpec) -> "SweepTask":
-        """Wrap a spec as an engine task (declarative schedules stay on
-        the spec and remain cacheable)."""
-        task = cls(mechanism=spec.mechanism, pattern=spec.pattern,
-                   rate=spec.rate, gated_fraction=spec.gated_fraction,
-                   warmup=spec.warmup, measure=spec.measure,
-                   seed=spec.seed, drain=spec.drain,
-                   keep_samples=spec.keep_samples,
-                   overrides=dict(spec.overrides),
-                   pattern_kwargs=dict(spec.pattern_kwargs))
-        task._spec = spec
-        return task
-
-    def spec(self) -> ExperimentSpec:
-        """The validated :class:`ExperimentSpec` this task executes."""
-        base = getattr(self, "_spec", None)
-        if base is not None:
-            return base
-        assert self.seed is not None, "resolved() first"
-        return ExperimentSpec(
-            mechanism=self.mechanism, pattern=self.pattern,
-            pattern_kwargs=dict(self.pattern_kwargs), rate=self.rate,
-            gated_fraction=self.gated_fraction, warmup=self.warmup,
-            measure=self.measure, seed=self.seed, drain=self.drain,
-            keep_samples=self.keep_samples,
-            overrides=dict(self.overrides))
-
-    def resolved(self) -> "SweepTask":
-        """Copy with warmup/measure/seed made explicit.
-
-        Cycle defaults are resolved in the *parent* process so that
-        ``REPRO_FULL`` is honored even if workers see a different
-        environment; the seed is derived here so cache keys and worker
-        executions agree.
-        """
-        dw, dm = default_cycles()
-        warmup = dw if self.warmup is None else self.warmup
-        measure = dm if self.measure is None else self.measure
-        seed = self.seed
-        if seed is None:
-            seed = derive_task_seed(0, self.mechanism, self.pattern,
-                                    self.rate, self.gated_fraction)
-        task = SweepTask(mechanism=self.mechanism, pattern=self.pattern,
-                         rate=self.rate, gated_fraction=self.gated_fraction,
-                         warmup=warmup, measure=measure, seed=seed,
-                         drain=self.drain, keep_samples=self.keep_samples,
-                         schedule=self.schedule,
-                         overrides=dict(self.overrides),
-                         pattern_kwargs=dict(self.pattern_kwargs),
-                         span_context=self.span_context,
-                         checkpoint_every=self.checkpoint_every,
-                         checkpoint_dir=self.checkpoint_dir,
-                         interrupt=self.interrupt)
-        base = getattr(self, "_spec", None)
-        if base is not None:
-            task._spec = base.resolved()
-        return task
-
-    def config(self) -> NoCConfig:
-        """The NoCConfig this task will simulate (validates overrides)."""
-        assert self.seed is not None, "resolve() first"
-        return NoCConfig(mechanism=self.mechanism, seed=self.seed,
-                         **self.overrides)
+        """``SweepTask(spec)`` — the spelling ``bench/`` imports."""
+        return cls(spec)
 
     def cache_key(self) -> dict[str, Any] | None:
-        """Stable key dict, or None when the task is uncacheable.
-
-        Delegates to :meth:`ExperimentSpec.cache_key`, whose layout is
-        byte-compatible with pre-spec cache entries.
-        """
+        """The spec's cache key, or None when a live schedule object
+        makes the task uncacheable."""
         if self.schedule is not None:
             return None
-        return self.spec().cache_key()
+        return self.spec.cache_key()
 
     def run(self) -> ExperimentResult:
         """Execute the task in the current process.
@@ -218,7 +128,7 @@ class SweepTask:
         run) and checkpoints periodically; ``run_spec`` removes the file
         on completion.
         """
-        return run_spec(self.spec(), schedule=self.schedule,
+        return run_spec(self.spec, schedule=self.schedule,
                         **self._checkpoint_kwargs())
 
     def _checkpoint_kwargs(self) -> dict[str, Any]:
@@ -227,7 +137,7 @@ class SweepTask:
         if not self.checkpoint_every:
             return {}
         from .checkpoint import checkpoint_path
-        path = checkpoint_path(self.checkpoint_dir, self.spec())
+        path = checkpoint_path(self.checkpoint_dir, self.spec)
         return {"checkpoint_every": self.checkpoint_every,
                 "checkpoint_dir": self.checkpoint_dir,
                 "resume_from": path if path.exists() else None,
@@ -254,14 +164,15 @@ def _run_traced(task: SweepTask) -> Any:
 
     tracer = SpanTracer(capacity=64)
     prof = KernelProfiler()
+    spec = task.spec
     with tracer.span("cell.run", context=task.span_context, attributes={
             "pid": os.getpid(),
-            "cell.mechanism": task.mechanism,
-            "cell.pattern": task.pattern,
-            "cell.rate": task.rate,
-            "cell.gated_fraction": task.gated_fraction,
-            "cell.seed": task.seed}) as sp:
-        result = run_spec(task.spec(), schedule=task.schedule, profiler=prof,
+            "cell.mechanism": spec.mechanism,
+            "cell.pattern": spec.pattern,
+            "cell.rate": spec.rate,
+            "cell.gated_fraction": spec.gated_fraction,
+            "cell.seed": spec.seed}) as sp:
+        result = run_spec(spec, schedule=task.schedule, profiler=prof,
                           **task._checkpoint_kwargs())
         for phase, ns in prof.phase_ns().items():
             sp.set_attribute(f"kernel.{phase}_ns", ns)
@@ -278,7 +189,8 @@ def _call(fn_and_item: tuple[Callable[[Any], Any], Any]) -> Any:
 def batch_group_key(task: SweepTask) -> tuple:
     """Batch-compatibility key: replicas must share a topology, and
     the config overrides are what determine it."""
-    return tuple(sorted((k, repr(v)) for k, v in task.overrides.items()))
+    return tuple(sorted((k, repr(v))
+                        for k, v in task.spec.overrides.items()))
 
 
 # -- executors ----------------------------------------------------------------
@@ -483,7 +395,7 @@ class BatchedExecutor:
                     import time as _time
                     t_start = _time.time_ns()
                     p0 = _time.perf_counter_ns()
-                specs = [tasks[i].spec() for i in chunk]
+                specs = [tasks[i].spec for i in chunk]
                 # checkpointing is batch-level: one snapshot file keyed
                 # by the chunk's member digests, auto-resumed when the
                 # same chunk re-runs after an interruption
@@ -526,7 +438,7 @@ class BatchedExecutor:
                                 "executor": "batched",
                                 "batch.size": len(chunk),
                                 "batch.shared_interval": True,
-                                "cell.seed": tasks[i].seed})]))
+                                "cell.seed": tasks[i].spec.seed})]))
                 else:
                     for i, res in zip(chunk, batch_results):
                         emit(i, res)
@@ -640,7 +552,10 @@ class ParallelSweep:
 
     def run(self, tasks: Sequence[SweepTask]) -> list[ExperimentResult]:
         """Execute tasks (cache, then executor); order is preserved."""
-        resolved = [t.resolved() for t in tasks]
+        # private copies (the engine stamps runtime attachments on them)
+        # with cycle defaults pinned in *this* process, so REPRO_FULL is
+        # honored even when pool workers see a different environment
+        resolved = [replace(t, spec=t.spec.resolved()) for t in tasks]
         total = len(resolved)
         results: list[ExperimentResult | None] = [None] * total
         caching = self._caching()
@@ -720,10 +635,6 @@ class ParallelSweep:
                 run_span.end()
         return results  # type: ignore[return-value]
 
-    def run_one(self, task: SweepTask) -> ExperimentResult:
-        """Convenience wrapper: run a single task through the engine."""
-        return self.run([task])[0]
-
     def map_callable(self, fn: Callable[[Any], Any],
                      items: Sequence[Any]) -> list[Any]:
         """Generic fan-out of ``fn`` over ``items`` (no result cache).
@@ -742,50 +653,3 @@ class ParallelSweep:
         for i, res in enumerate(results):
             self._notify(i + 1, total, items[i], res, False)
         return results
-
-
-class BatchedSweep(ParallelSweep):
-    """Thin :class:`ParallelSweep` over a :class:`BatchedExecutor`.
-
-    The per-task contract is unchanged from :class:`ParallelSweep`:
-
-    * **seed** — tasks are :meth:`SweepTask.resolved` first, so every
-      replica carries the same explicit/derived seed it would under the
-      pool/serial executors, and results are bit-identical to the solo
-      paths (the kernel-equivalence tests assert digest equality).
-    * **cache** — each replica keeps its own
-      :meth:`~SweepTask.cache_key` (the kernel is excluded from cache
-      keys); hits skip batching, misses are batched and stored
-      individually, so serial/pooled/batched runs hit each other's
-      entries.
-    * **timeout** — execution is in-process, so like the serial path
-      there is no preemption.
-
-    Tasks carrying a live ``schedule`` object are batched with that
-    schedule (and stay uncached, as under :class:`ParallelSweep`).
-    """
-
-    def __init__(self, batch_size: int = 8, *, use_cache: bool = True,
-                 cache: ResultCache | None = None,
-                 progress: ProgressFn | None = None,
-                 span_tracer: Any | None = None,
-                 span_parent: Any | None = None,
-                 checkpoint_every: int | None = None,
-                 checkpoint_dir: Any | None = None,
-                 interrupt: Callable[[], bool] | None = None) -> None:
-        super().__init__(max_workers=1, use_cache=use_cache, cache=cache,
-                         progress=progress,
-                         executor=BatchedExecutor(batch_size),
-                         span_tracer=span_tracer, span_parent=span_parent,
-                         checkpoint_every=checkpoint_every,
-                         checkpoint_dir=checkpoint_dir,
-                         interrupt=interrupt)
-
-    @property
-    def batch_size(self) -> int:
-        return self.executor.batch_size  # type: ignore[attr-defined]
-
-    @property
-    def last_batches(self) -> int:
-        """Batches executed during the last run()."""
-        return self.executor.last_batches  # type: ignore[attr-defined]

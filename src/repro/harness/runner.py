@@ -70,80 +70,6 @@ class ExperimentResult:
     #: scalar metrics snapshot from an attached sampler ({} when off)
     metrics: dict[str, float] = field(default_factory=dict)
 
-    def as_row(self) -> dict[str, float | str | int]:
-        return {
-            "mechanism": self.mechanism,
-            "pattern": self.pattern,
-            "rate": self.rate,
-            "gated": self.gated_fraction,
-            "latency": self.avg_latency,
-            "static_w": self.static_w,
-            "dynamic_w": self.dynamic_w,
-            "total_w": self.total_w,
-            "sleeping": self.sleeping_routers,
-        }
-
-
-def run_synthetic(mechanism: str, *, pattern: str = "uniform",
-                  pattern_kwargs=None,
-                  rate: float = 0.02, gated_fraction: float = 0.0,
-                  warmup: int | None = None, measure: int | None = None,
-                  seed: int = 1, schedule: GatingSchedule | None = None,
-                  keep_samples: bool = False,
-                  drain: bool = True,
-                  kernel: str | None = None,
-                  tracer=None, trace_path: str | None = None,
-                  trace_kinds=None,
-                  sampler=None, metrics_every: int | None = None,
-                  metrics_path: str | None = None,
-                  profiler=None,
-                  **config_overrides) -> ExperimentResult:
-    """Run one synthetic-traffic experiment and collect metrics.
-
-    This legacy keyword signature compiles its arguments into an
-    :class:`~repro.spec.ExperimentSpec` and delegates to
-    :func:`run_spec` — the spec layer is the implementation, and the
-    two entry points are bit-identical by construction (asserted by the
-    spec-equivalence test suite).
-
-    ``pattern_kwargs`` are forwarded to the pattern factory (e.g.
-    ``{"hotspots": [27], "weight": 0.4}`` for ``hotspot``) and are part
-    of the experiment cache key.  ``schedule`` overrides the default
-    static gating of ``gated_fraction`` (used by the
-    reconfiguration-timeline experiment).  ``kernel`` selects the
-    simulation kernel (default: the ``REPRO_KERNEL`` environment
-    variable) — results are bit-identical across kernels, so it is
-    deliberately *not* part of the experiment cache key.  Extra keyword
-    arguments override :class:`~repro.config.NoCConfig` fields.
-
-    Observability (opt-in; see :mod:`repro.obs` and
-    ``docs/observability.md``): pass a ``tracer``
-    (:class:`~repro.obs.Tracer`) to record structured events, or just a
-    ``trace_path`` to have one created and its events written there as
-    JSONL (``trace_kinds`` restricts the recorded event kinds).  Pass a
-    ``sampler`` (:class:`~repro.obs.NetworkSampler`) or a
-    ``metrics_every`` cadence to collect sampled metrics; the final
-    scalar snapshot lands in :attr:`ExperimentResult.metrics`, and
-    ``metrics_path`` additionally writes the sampled series to disk
-    (CSV, or the full registry JSON for ``*.json`` paths).  A
-    ``profiler`` (:class:`~repro.obs.KernelProfiler`) accumulates
-    per-phase kernel wall time (see ``repro profile`` /
-    :func:`repro.obs.profile_run` for the self-contained variant that
-    also wall-clocks the kernel externally).  None of these affect
-    simulation results — only what gets observed.
-    """
-    spec = ExperimentSpec(mechanism=mechanism, pattern=pattern,
-                          pattern_kwargs=dict(pattern_kwargs or {}),
-                          rate=rate, gated_fraction=gated_fraction,
-                          warmup=warmup, measure=measure, seed=seed,
-                          kernel=kernel, drain=drain,
-                          keep_samples=keep_samples,
-                          overrides=config_overrides)
-    return run_spec(spec, schedule=schedule, tracer=tracer,
-                    trace_path=trace_path, trace_kinds=trace_kinds,
-                    sampler=sampler, metrics_every=metrics_every,
-                    metrics_path=metrics_path, profiler=profiler)
-
 
 def run_spec(spec: ExperimentSpec, *,
              schedule: GatingSchedule | None = None,
@@ -158,16 +84,28 @@ def run_spec(spec: ExperimentSpec, *,
              interrupt=None) -> ExperimentResult:
     """Execute an :class:`~repro.spec.ExperimentSpec`.
 
-    The spec compiles to exactly the calls the legacy
-    :func:`run_synthetic` signature made — same construction order,
-    same seeds — so results are bit-identical between the two entry
-    points (and therefore cache-compatible).
+    The spec is the whole experiment: ``kernel`` selects the simulation
+    kernel (default: the ``REPRO_KERNEL`` environment variable) and is
+    deliberately *not* part of the cache key — results are bit-identical
+    across kernels.  ``schedule`` (a live :class:`GatingSchedule`
+    object) overrides both the spec's declarative ``schedule`` mapping
+    and its ``gated_fraction``.
 
-    ``schedule`` (a live :class:`GatingSchedule` object) overrides both
-    the spec's declarative ``schedule`` mapping and its
-    ``gated_fraction``.  The observability keywords mirror
-    :func:`run_synthetic` — they are runtime attachments, not part of
-    the spec or its cache key.
+    Observability keywords are runtime attachments, not part of the
+    spec or its cache key, and never affect simulation results (see
+    :mod:`repro.obs` and ``docs/observability.md``): pass a ``tracer``
+    (:class:`~repro.obs.Tracer`) to record structured events, or just a
+    ``trace_path`` to have one created and its events written there as
+    JSONL (``trace_kinds`` restricts the recorded event kinds).  Pass a
+    ``sampler`` (:class:`~repro.obs.NetworkSampler`) or a
+    ``metrics_every`` cadence to collect sampled metrics; the final
+    scalar snapshot lands in :attr:`ExperimentResult.metrics`, and
+    ``metrics_path`` additionally writes the sampled series to disk
+    (CSV, or the full registry JSON for ``*.json`` paths).  A
+    ``profiler`` (:class:`~repro.obs.KernelProfiler`) accumulates
+    per-phase kernel wall time (``repro profile`` /
+    :func:`repro.obs.profile_run` additionally wall-clock the kernel
+    externally).
 
     Checkpointing: ``checkpoint_every=N`` writes an atomic snapshot of
     the complete simulation state into ``checkpoint_dir`` every N

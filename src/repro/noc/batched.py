@@ -50,7 +50,7 @@ The ``batched`` KERNELS entry aliases the ``active`` step for a solo
 ``Network`` (B = 1 degenerates to the activity-driven kernel), so
 ``spec.kernel = "batched"`` / ``REPRO_KERNEL=batched`` work everywhere
 a kernel name is accepted; batching across replicas is orchestrated by
-:func:`run_spec_batch` and :class:`repro.harness.parallel.BatchedSweep`.
+:func:`run_spec_batch` and :class:`repro.harness.parallel.BatchedExecutor`.
 """
 
 from __future__ import annotations

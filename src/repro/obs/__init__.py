@@ -15,8 +15,8 @@ An opt-in, near-zero-overhead-when-off subsystem (see
 Hot-path contract: instrumented code guards every emission behind one
 ``if <x>._tracer is not None`` test; with nothing attached, the
 simulator's per-cycle cost is one extra pointer comparison per kernel
-step and per hook site — pinned by the ``bench_kernel`` CI gate and
-``tests/test_obs_exporters.py``.
+step and per hook site — pinned by the untraced ``kernel_*`` workloads
+of ``bench/`` and ``tests/test_obs_exporters.py``.
 """
 
 from .analysis import (REPORT_SCHEMA, AnalysisReport, CongestionReport,

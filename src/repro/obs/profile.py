@@ -11,8 +11,9 @@ Overhead contract (same as the tracer/sampler hooks from PR 3):
 
 * **Detached = free.**  Each kernel step reads ``self._profiler`` once;
   when it is ``None`` every phase boundary is a single ``is not None``
-  test and nothing else.  The ``bench_kernel`` CI gate runs unprofiled
-  and pins this.
+  test and nothing else.  The ``kernel_*`` workloads of ``bench/`` run
+  unprofiled and pin this (``obs.profiler_on_cost`` is the attached
+  side).
 * **Attached = honest.**  Timestamps are taken *at* the phase
   boundaries, so each phase's total includes exactly its own work; the
   per-step total (``step_ns``) is measured from the same first/last
@@ -202,40 +203,37 @@ def attach_profiler(net, profiler: KernelProfiler | None = None
     return profiler
 
 
-def profile_run(mechanism: str = "gflov", *, pattern: str = "uniform",
-                rate: float = 0.02, gated_fraction: float = 0.0,
-                warmup: int | None = None, measure: int | None = None,
-                seed: int = 1, kernel: str | None = None,
-                metrics_every: int | None = None,
-                **config_overrides) -> ProfileResult:
-    """Run one synthetic experiment with the phase profiler attached.
+def profile_run(spec, *, metrics_every: int | None = None) -> ProfileResult:
+    """Run one :class:`~repro.spec.ExperimentSpec` with the phase
+    profiler attached.
 
-    Mirrors :func:`repro.harness.run_synthetic`'s setup (same config,
-    gating, traffic and drain behaviour) but drives the cycle loop
-    itself so every ``Network.step`` call can be wall-clocked from
-    *outside* the kernel — the external baseline the ``coverage``
-    metric is computed against.  Simulation results are identical to an
-    unprofiled run.
+    Same network, gating, traffic and drain behaviour as
+    :func:`repro.harness.run_spec`, but drives the cycle loop itself so
+    every ``Network.step`` call can be wall-clocked from *outside* the
+    kernel — the external baseline the ``coverage`` metric is computed
+    against.  Simulation results are identical to an unprofiled run.
     """
-    from ..config import NoCConfig
     from ..gating.schedule import StaticGating
-    from ..harness.runner import default_cycles
     from ..noc.network import Network
     from ..traffic.generator import TrafficGenerator
     from ..traffic.patterns import get_pattern
 
-    dw, dm = default_cycles()
-    warmup = dw if warmup is None else warmup
-    measure = dm if measure is None else measure
-
-    cfg = NoCConfig(mechanism=mechanism, seed=seed, **config_overrides)
-    net = Network(cfg, kernel=kernel)
+    spec = spec.resolved()
+    warmup, measure = spec.warmup, spec.measure
+    cfg = spec.config()
+    net = Network(cfg, kernel=spec.kernel)
     prof = attach_profiler(net)
     if metrics_every is not None:
         from .sampler import NetworkSampler
         net.attach_metrics(NetworkSampler(net, every=metrics_every))
-    net.set_gating(StaticGating(cfg.num_routers, gated_fraction, seed=seed))
-    gen = TrafficGenerator(net, get_pattern(pattern, cfg), rate, seed=seed)
+    schedule = spec.build_schedule(cfg)
+    if schedule is None:
+        schedule = StaticGating(cfg.num_routers, spec.gated_fraction,
+                                seed=spec.seed)
+    net.set_gating(schedule)
+    gen = TrafficGenerator(net, get_pattern(spec.pattern, cfg,
+                                            **dict(spec.pattern_kwargs)),
+                           spec.rate, seed=spec.seed)
 
     wall_ns = 0
     tick = gen.tick
@@ -252,9 +250,9 @@ def profile_run(mechanism: str = "gflov", *, pattern: str = "uniform",
         t0 = clock()
         step()
         wall_ns += clock() - t0
-    # drain in-flight measured packets (same policy as run_synthetic)
+    # drain in-flight measured packets (same policy as run_spec)
     idle = 0
-    for _ in range(20_000):
+    for _ in range(20_000 if spec.drain else 0):
         t0 = clock()
         step()
         wall_ns += clock() - t0
@@ -263,14 +261,14 @@ def profile_run(mechanism: str = "gflov", *, pattern: str = "uniform",
             break
 
     return ProfileResult(
-        mechanism=mechanism,
-        pattern=pattern,
-        rate=rate,
-        gated_fraction=gated_fraction,
+        mechanism=spec.mechanism,
+        pattern=spec.pattern,
+        rate=spec.rate,
+        gated_fraction=spec.gated_fraction,
         kernel=net.kernel,
         warmup=warmup,
         measure=measure,
-        seed=seed,
+        seed=spec.seed,
         cycles=prof.cycles,
         wall_ns=wall_ns,
         phase_ns=prof.phase_ns(),

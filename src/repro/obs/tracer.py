@@ -5,9 +5,8 @@ layer.  Design constraints (see ``docs/observability.md``):
 
 * **Off = free.**  Instrumented code guards every emission with one
   ``if <obj>._tracer is not None`` attribute test; when no tracer is
-  attached nothing is allocated and no call is made.  The benchmark
-  regression gate (``benchmarks/bench_kernel.py --check``) runs with
-  tracing off and pins this.
+  attached nothing is allocated and no call is made.  The ``kernel_*``
+  workloads of ``bench/`` run with tracing off and pin this.
 * **On = cheap.**  :meth:`emit` performs one optional frozenset lookup
   (kind filter), one tuple allocation and one list-slot store.  The
   buffer is a fixed-size ring: tracing a long run can never exhaust

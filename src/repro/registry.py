@@ -272,7 +272,7 @@ KERNELS.register("active", "_step_active")
 KERNELS.register("dense", "_step_dense")
 # ``batched`` aliases the active step for a solo Network (a batch of one
 # is just activity-driven execution); cross-replica batching lives in
-# repro.noc.batched / repro.harness.parallel.BatchedSweep
+# repro.noc.batched / repro.harness.parallel.BatchedExecutor
 KERNELS.register("batched", "_step_active")
 
 #: gating-schedule builders: name -> ``(cfg, args: dict) -> GatingSchedule``

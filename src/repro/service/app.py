@@ -39,9 +39,6 @@ Endpoints
                                      ``?format=prometheus`` for Prometheus
                                      text exposition)
 ``GET``     ``/healthz``             liveness + queue depth
-``GET``     ``/bench``               the configured kernel benchmark
-                                     snapshot (path or URL source, loaded
-                                     through the shared bench loader)
 ==========  =======================  =========================================
 
 Results are digest-identical to ``repro spec run`` on the same spec
@@ -94,7 +91,6 @@ from pathlib import Path
 from typing import Any, Callable
 from urllib.parse import parse_qsl, unquote
 
-from ..harness.benchdiff import load_bench_source
 from ..harness.cache import ResultCache, result_to_dict, stable_digest
 from ..harness.checkpoint import CheckpointInterrupt
 from ..harness.parallel import (BatchedExecutor, Executor, ParallelSweep,
@@ -200,9 +196,6 @@ class ExperimentService:
     cache, use_cache:
         The shared :class:`ResultCache` (default honors
         ``REPRO_CACHE_DIR``) and whether to consult it.
-    bench_source:
-        Path or URL of a ``BENCH_kernel.json`` snapshot served on
-        ``GET /bench`` (404 when unset).
     telemetry_dir:
         Directory that receives ``spans.jsonl`` + ``metrics.json`` on
         shutdown (``repro serve --telemetry-dir``); ``None`` disables
@@ -230,7 +223,6 @@ class ExperimentService:
                  pool_workers: int | None = None,
                  cache: ResultCache | None = None,
                  use_cache: bool = True,
-                 bench_source: str | None = None,
                  max_body: int = 8 * 1024 * 1024,
                  telemetry_dir: str | None = None,
                  span_capacity: int = DEFAULT_SPAN_CAPACITY,
@@ -248,7 +240,6 @@ class ExperimentService:
         self._pool_workers = pool_workers
         self._cache = cache if cache is not None else ResultCache()
         self._use_cache = use_cache
-        self._bench_source = bench_source
         self._max_body = max_body
         self._telemetry_dir = telemetry_dir
         self._span_capacity = span_capacity
@@ -537,7 +528,7 @@ class ExperimentService:
         in the store (atomic writes), so a cancelled job never leaves
         a torn cache behind.
         """
-        tasks = [SweepTask.from_spec(c) for c in job.envelope.cells()]
+        tasks = [SweepTask(c) for c in job.envelope.cells()]
         t_run = time.monotonic()
 
         def progress(done: int, total: int, task, result,
@@ -549,12 +540,13 @@ class ExperimentService:
             job.done_cells = done
             if from_cache:
                 job.cache_hit_cells += 1
+            cell = task.spec
             self._publish_threadsafe(job, "progress", {
                 "done": done, "total": total,
                 "from_cache": bool(from_cache),
-                "cell": {"mechanism": task.mechanism, "rate": task.rate,
-                         "gated_fraction": task.gated_fraction,
-                         "seed": task.seed}})
+                "cell": {"mechanism": cell.mechanism, "rate": cell.rate,
+                         "gated_fraction": cell.gated_fraction,
+                         "seed": cell.seed}})
             # live per-job telemetry rides the same SSE stream
             elapsed = time.monotonic() - t_run
             self._publish_threadsafe(job, "metrics", {
@@ -892,17 +884,6 @@ class ExperimentService:
                 "dropped": tracer.dropped if tracer is not None else 0,
                 "span_count": len(spans), "spans": spans}
 
-    def _bench(self) -> tuple[int, dict]:
-        if not self._bench_source:
-            return 404, {"error": "no bench snapshot configured (start the "
-                                  "service with --bench-snapshot)"}
-        try:
-            doc = load_bench_source(self._bench_source)
-        except Exception as exc:
-            return 502, {"error": f"cannot load bench snapshot from "
-                                  f"{self._bench_source!r}: {exc}"}
-        return 200, {"source": self._bench_source, "snapshot": doc}
-
     # -- HTTP plumbing --------------------------------------------------------
 
     async def _read_request(self, reader: asyncio.StreamReader) \
@@ -984,7 +965,7 @@ class ExperimentService:
                 "service": "repro-experiment-service",
                 "endpoints": ["/jobs", "/jobs/<id>", "/jobs/<id>/result",
                               "/jobs/<id>/events", "/jobs/<id>/trace",
-                              "/metrics", "/healthz", "/bench"]})
+                              "/metrics", "/healthz"]})
             return
         if segs == ["healthz"]:
             if req.method != "GET":
@@ -999,12 +980,6 @@ class ExperimentService:
             body, ctype = self._metrics_body(req.query.get("format"))
             writer.write(self._response(200, body, ctype))
             await writer.drain()
-            return
-        if segs == ["bench"]:
-            if req.method != "GET":
-                raise _HttpError(405, "bench is GET-only")
-            status, obj = self._bench()
-            await send_json(status, obj)
             return
         if segs[0] != "jobs":
             raise _HttpError(404, f"no such endpoint: {req.path}")

@@ -130,9 +130,6 @@ class ServiceClient:
                 return float(value)
         return 0.0
 
-    def bench(self) -> dict:
-        return self._request("GET", "/bench")
-
     def wait(self, job_id: str, *, timeout: float = 120.0,
              poll: float = 0.05) -> dict:
         """Poll until the job is terminal; returns the final snapshot."""

@@ -6,16 +6,15 @@ description of exactly one synthetic-traffic measurement (or, with
 describes a grid of them (mechanisms x rates x gated fractions).  Every
 layer of the stack consumes the same object:
 
-* :func:`repro.harness.runner.run_spec` compiles a spec to exactly the
-  calls the legacy ``run_synthetic(...)`` signature makes — results are
-  bit-identical, proven by the digest-equality tests.
+* :func:`repro.harness.runner.run_spec` executes a spec — the one way
+  to run an experiment, from the CLI, a sweep, or the service.
 * The on-disk result cache keys on :meth:`ExperimentSpec.cache_key`,
   whose layout matches the pre-spec key byte for byte when the new
   fields (pattern kwargs, declarative schedule, workload) are unused —
   existing ``.repro_cache`` entries keep loading.
 * The parallel engine's :class:`~repro.harness.parallel.SweepTask`
-  compiles to/from a spec; ``repro spec validate|hash|run <file>``
-  operates on spec files.
+  wraps a spec; ``repro spec validate|hash|run <file>`` operates on
+  spec files.
 
 Spec files are JSON or TOML mappings of the dataclass fields
 (see ``docs/specs.md`` and ``examples/specs/``)::
@@ -332,9 +331,8 @@ class SweepSpec:
     """A grid of experiments: mechanisms x rates x gated fractions.
 
     :meth:`expand` yields the cells as :class:`ExperimentSpec` in
-    mechanism-major order (mechanism, then rate, then fraction) — the
-    exact order the legacy ``sweep_fractions``/``sweep_rates`` loops
-    produced, so engine results slice back into per-mechanism series.
+    mechanism-major order (mechanism, then rate, then fraction), so
+    engine results slice back into per-mechanism series.
     """
 
     mechanisms: tuple[str, ...]

@@ -12,36 +12,41 @@ import pytest
 
 from repro.config import MECHANISMS
 from repro.harness import (ExperimentResult, FIGURE_MECHANISMS, ParallelSweep,
-                           SweepTask, derive_task_seed, run_synthetic)
+                           SweepTask, run_spec)
+from repro.spec import ExperimentSpec
 
 KW = dict(pattern="uniform", rate=0.04, gated_fraction=0.3,
           warmup=200, measure=900, seed=7)
 
 
+def run(mech, **kw):
+    return run_spec(ExperimentSpec(mech, **kw))
+
+
 def _tasks():
-    return [SweepTask(mech, rate=0.04, gated_fraction=frac,
-                      warmup=200, measure=700, seed=7)
+    return [SweepTask(ExperimentSpec(mech, rate=0.04, gated_fraction=frac,
+                                     warmup=200, measure=700, seed=7))
             for mech in FIGURE_MECHANISMS
             for frac in (0.0, 0.4)]
 
 
 def test_same_seed_bit_identical_runs():
-    a = run_synthetic("gflov", keep_samples=True, **KW)
-    b = run_synthetic("gflov", keep_samples=True, **KW)
+    a = run("gflov", keep_samples=True, **KW)
+    b = run("gflov", keep_samples=True, **KW)
     assert isinstance(a, ExperimentResult)
     assert a == b  # every field, including breakdown and samples
 
 
 def test_same_seed_bit_identical_all_mechanisms():
     for mech in MECHANISMS:
-        a = run_synthetic(mech, **KW)
-        b = run_synthetic(mech, **KW)
+        a = run(mech, **KW)
+        b = run(mech, **KW)
         assert a == b, f"{mech} is nondeterministic"
 
 
 def test_different_seed_differs():
-    a = run_synthetic("gflov", **KW)
-    b = run_synthetic("gflov", **{**KW, "seed": 8})
+    a = run("gflov", **KW)
+    b = run("gflov", **{**KW, "seed": 8})
     assert a != b
 
 
@@ -55,8 +60,8 @@ def test_serial_vs_parallel_identical(tmp_path):
     assert pooled_engine.last_mode in ("parallel", "serial")
     # order preservation: results line up with their tasks
     for task, res in zip(tasks, serial):
-        assert res.mechanism == task.mechanism
-        assert res.gated_fraction == task.gated_fraction
+        assert res.mechanism == task.spec.mechanism
+        assert res.gated_fraction == task.spec.gated_fraction
 
 
 def test_cache_replay_identical(tmp_path, monkeypatch):
@@ -71,26 +76,6 @@ def test_cache_replay_identical(tmp_path, monkeypatch):
     assert eng.last_cache_hits == len(tasks)
     assert eng.last_mode == "cached"
     assert first == replay
-
-
-def test_derive_task_seed_is_stable_and_spread():
-    s1 = derive_task_seed(1, "gflov", "uniform", 0.02, 0.4)
-    s2 = derive_task_seed(1, "gflov", "uniform", 0.02, 0.4)
-    assert s1 == s2  # process-independent (sha256, not hash())
-    assert s1 == 828046068  # pinned: cross-invocation stability
-    others = {derive_task_seed(1, "gflov", "uniform", 0.02, f)
-              for f in (0.0, 0.1, 0.2, 0.3, 0.4)}
-    assert len(others) == 5
-
-
-def test_seedless_tasks_derive_deterministically():
-    t = SweepTask("gflov", rate=0.02, gated_fraction=0.4, seed=None,
-                  warmup=100, measure=300)
-    a, b = t.resolved(), t.resolved()
-    assert a.seed == b.seed is not None
-    res_a = ParallelSweep(max_workers=1, use_cache=False).run([t])[0]
-    res_b = ParallelSweep(max_workers=1, use_cache=False).run([t])[0]
-    assert res_a == res_b
 
 
 def test_active_set_cache_immune_to_id_reuse():
@@ -110,6 +95,6 @@ def test_active_set_cache_immune_to_id_reuse():
 
 
 def test_result_equality_is_meaningful():
-    a = run_synthetic("gflov", **KW)
-    b = run_synthetic("gflov", **{**KW, "gated_fraction": 0.5})
+    a = run("gflov", **KW)
+    b = run("gflov", **{**KW, "gated_fraction": 0.5})
     assert a != b

@@ -111,9 +111,11 @@ def test_escape_vc_reserved_from_injection():
 
 def test_load_latency_curve_monotone():
     """Throughput sanity: average latency grows with offered load."""
-    from repro.harness import sweep_rates
-    out = sweep_rates(["baseline"], rates=[0.02, 0.12, 0.3],
-                      warmup=500, measure=2500)
+    from repro.harness import run_sweep_spec
+    from repro.spec import SweepSpec
+    out = run_sweep_spec(SweepSpec(mechanisms=["baseline"],
+                                   rates=[0.02, 0.12, 0.3],
+                                   warmup=500, measure=2500))
     lats = [r.avg_latency for r in out["baseline"]]
     assert lats[0] < lats[1] < lats[2]
     thr = [r.throughput for r in out["baseline"]]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.cache import ResultCache, result_to_dict, stable_digest
-from repro.harness.parallel import (BatchedExecutor, BatchedSweep, Executor,
+from repro.harness.parallel import (BatchedExecutor, Executor,
                                     ParallelSweep, PoolExecutor,
                                     SerialExecutor, SweepTask,
                                     batch_group_key)
@@ -85,13 +85,12 @@ def test_engines_are_thin_wrappers_over_their_executors(tmp_path):
     eng.run(tasks()[:1])
     assert eng.last_mode == "serial"
 
-    bsweep = BatchedSweep(3, cache=ResultCache(tmp_path / "b"))
-    assert isinstance(bsweep.executor, BatchedExecutor)
-    assert bsweep.batch_size == 3
-    bsweep.run(tasks())
-    assert bsweep.last_mode == "batched"
-    # 4 tasks -> 2 groups of 2 compatible cells, batch size 3
-    assert bsweep.last_batches == 2
+    batched = BatchedExecutor(3)
+    eng = ParallelSweep(executor=batched, cache=ResultCache(tmp_path / "b"))
+    eng.run(tasks())
+    assert eng.last_mode == "batched"
+    # 4 compatible cells in chunks of 3
+    assert batched.last_batches == 2
 
 
 def test_batch_group_key_separates_incompatible_cells():

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.harness import (ExperimentResult, breakdown_table, default_cycles,
-                           normalized_table, run_synthetic, series_table,
-                           sweep_fractions, sweep_rates, timeline_table)
+from repro.harness import (breakdown_table, default_cycles,
+                           normalized_table, run_spec, run_sweep_spec,
+                           series_table, timeline_table)
+from repro.spec import ExperimentSpec, SweepSpec
 
 
 def quick(mech="baseline", **kw):
     kw.setdefault("warmup", 300)
     kw.setdefault("measure", 1200)
-    return run_synthetic(mech, **kw)
+    return run_spec(ExperimentSpec(mech, **kw))
 
 
 def test_runner_returns_consistent_metrics():
@@ -38,7 +39,7 @@ def test_runner_seed_changes_results():
 
 
 def test_runner_config_overrides():
-    r = quick(width=4, height=4)
+    r = quick(overrides={"width": 4, "height": 4})
     assert r.packets > 0
 
 
@@ -54,16 +55,18 @@ def test_default_cycles_env(monkeypatch):
     assert default_cycles() == (10_000, 90_000)
 
 
-def test_sweep_fractions_shape():
-    out = sweep_fractions(["baseline", "gflov"], [0.0, 0.4],
-                          warmup=200, measure=800)
+def test_sweep_fraction_grid_shape():
+    out = run_sweep_spec(SweepSpec(mechanisms=["baseline", "gflov"],
+                                   gated_fractions=[0.0, 0.4],
+                                   warmup=200, measure=800))
     assert set(out) == {"baseline", "gflov"}
     assert [r.gated_fraction for r in out["gflov"]] == [0.0, 0.4]
 
 
-def test_sweep_rates_shape():
-    out = sweep_rates(["baseline"], rates=[0.01, 0.02],
-                      warmup=200, measure=800)
+def test_sweep_rate_grid_shape():
+    out = run_sweep_spec(SweepSpec(mechanisms=["baseline"],
+                                   rates=[0.01, 0.02],
+                                   warmup=200, measure=800))
     assert [r.rate for r in out["baseline"]] == [0.01, 0.02]
 
 

@@ -18,15 +18,21 @@ and the handshake drain-candidate skip cache.
 import pytest
 
 from repro.config import MECHANISMS
-from repro.harness import run_synthetic
+from repro.harness import run_spec
+from repro.spec import ExperimentSpec
 
 EQ_KW = dict(rate=0.04, warmup=200, measure=800, seed=11)
 
 
+def run(mech, *, schedule=None, tracer=None, **kw):
+    return run_spec(ExperimentSpec(mech, **kw), schedule=schedule,
+                    tracer=tracer)
+
+
 def _pair(mech, **kw):
     """Run the same experiment under both kernels, samples retained."""
-    dense = run_synthetic(mech, kernel="dense", keep_samples=True, **kw)
-    active = run_synthetic(mech, kernel="active", keep_samples=True, **kw)
+    dense = run(mech, kernel="dense", keep_samples=True, **kw)
+    active = run(mech, kernel="active", keep_samples=True, **kw)
     return dense, active
 
 
@@ -63,6 +69,17 @@ def test_kernels_bit_identical_under_epoch_gating(mechanism):
     dense, active = _pair(mechanism, pattern="uniform", gated_fraction=0.0,
                           schedule=sched, **EQ_KW)
     assert dense == active
+
+
+def test_fig6_cell_example_spec_identical_on_both_kernels():
+    """The checked-in acceptance cell, as CI's spec-smoke job runs it."""
+    from dataclasses import replace
+    from pathlib import Path
+
+    specs = Path(__file__).resolve().parents[1] / "examples" / "specs"
+    spec = ExperimentSpec.from_file(str(specs / "fig6_cell.toml"))
+    assert run_spec(replace(spec, kernel="dense")) == \
+        run_spec(replace(spec, kernel="active"))
 
 
 def test_env_var_selects_kernel(monkeypatch):
@@ -112,10 +129,10 @@ def test_kernels_emit_identical_event_streams(mechanism, fraction):
 
     td = Tracer()
     ta = Tracer()
-    dense = run_synthetic(mechanism, kernel="dense", tracer=td,
-                          gated_fraction=fraction, **EQ_KW)
-    active = run_synthetic(mechanism, kernel="active", tracer=ta,
-                           gated_fraction=fraction, **EQ_KW)
+    dense = run(mechanism, kernel="dense", tracer=td,
+                gated_fraction=fraction, **EQ_KW)
+    active = run(mechanism, kernel="active", tracer=ta,
+                 gated_fraction=fraction, **EQ_KW)
     assert dense == active
     ed, ea = _normalized_trace(td.events()), _normalized_trace(ta.events())
     assert td.dropped == ta.dropped == 0, "ring overflowed; enlarge capacity"
@@ -138,10 +155,10 @@ def test_kernels_emit_identical_event_streams_under_epoch_gating():
 
     sched = random_epochs(64, (0.2, 0.7, 0.4), (400, 700), seed=5)
     td, ta = Tracer(), Tracer()
-    dense = run_synthetic("gflov", kernel="dense", tracer=td,
-                          schedule=sched, **EQ_KW)
-    active = run_synthetic("gflov", kernel="active", tracer=ta,
-                           schedule=sched, **EQ_KW)
+    dense = run("gflov", kernel="dense", tracer=td,
+                schedule=sched, **EQ_KW)
+    active = run("gflov", kernel="active", tracer=ta,
+                 schedule=sched, **EQ_KW)
     assert dense == active
     assert _normalized_trace(td.events()) == _normalized_trace(ta.events())
 
@@ -480,8 +497,8 @@ def test_batched_kernel_registered_and_solo_equivalent():
     from repro.registry import KERNELS
 
     assert "batched" in KERNELS
-    a = run_synthetic("gflov", kernel="active", gated_fraction=0.4, **EQ_KW)
-    b = run_synthetic("gflov", kernel="batched", gated_fraction=0.4, **EQ_KW)
+    a = run("gflov", kernel="active", gated_fraction=0.4, **EQ_KW)
+    b = run("gflov", kernel="batched", gated_fraction=0.4, **EQ_KW)
     assert a == b
 
 

@@ -5,10 +5,11 @@ import time
 
 import pytest
 
-from repro.harness import (ParallelSweep, ResultCache, SweepTask,
-                           default_jobs, default_task_timeout,
-                           sweep_fractions, sweep_rates)
+from repro.harness import (BatchedExecutor, ParallelSweep, ResultCache,
+                           SweepTask, default_jobs, default_task_timeout,
+                           run_sweep_spec)
 from repro.harness import parallel as parallel_mod
+from repro.spec import ExperimentSpec, SweepSpec
 
 
 def _square(x):
@@ -25,8 +26,8 @@ def _sleepy(x):
 
 
 def _tasks(n=3):
-    return [SweepTask("baseline", rate=0.03, gated_fraction=0.0,
-                      warmup=100, measure=300, seed=s)
+    return [SweepTask(ExperimentSpec("baseline", rate=0.03,
+                                     warmup=100, measure=300, seed=s))
             for s in range(1, n + 1)]
 
 
@@ -127,26 +128,12 @@ def test_timeout_retries_in_process():
 
 # -- sweep wiring -------------------------------------------------------------
 
-def test_sweep_fractions_order_and_shape():
-    eng = _eng(max_workers=1)
-    out = sweep_fractions(["baseline", "gflov"], [0.0, 0.4],
-                          warmup=150, measure=500, engine=eng)
-    assert set(out) == {"baseline", "gflov"}
-    for series in out.values():
-        assert [r.gated_fraction for r in series] == [0.0, 0.4]
-
-
-def test_sweep_rates_order_and_shape():
-    eng = _eng(max_workers=1)
-    out = sweep_rates(["gflov"], rates=[0.01, 0.03],
-                      warmup=150, measure=500, engine=eng)
-    assert [r.rate for r in out["gflov"]] == [0.01, 0.03]
-
-
 def test_sweep_accepts_config_overrides():
     eng = _eng(max_workers=1)
-    out = sweep_fractions(["gflov"], [0.2], warmup=100, measure=400,
-                          width=4, height=4, engine=eng)
+    out = run_sweep_spec(
+        SweepSpec(mechanisms=["gflov"], gated_fractions=[0.2], warmup=100,
+                  measure=400, overrides={"width": 4, "height": 4}),
+        engine=eng)
     assert out["gflov"][0].packets > 0
 
 
@@ -167,57 +154,47 @@ def test_progress_callback_reports_cache_state(tmp_path):
     assert eng.last_mode == "cached"
 
 
-def test_run_one(tmp_path):
-    eng = ParallelSweep(max_workers=1, cache=ResultCache(tmp_path / "c"))
-    r = eng.run_one(_tasks(1)[0])
-    assert r.mechanism == "baseline"
-    assert eng.run_one(_tasks(1)[0]) == r
-    assert eng.last_cache_hits == 1
-
-
 # -- batched executor ---------------------------------------------------------
 
 def _batch_tasks():
     """A small mixed grid: mechanisms x fractions with varied seeds."""
-    return [SweepTask(mech, rate=0.03, gated_fraction=f,
-                      warmup=100, measure=300, seed=s,
-                      overrides={"width": 4, "height": 4})
+    return [SweepTask(ExperimentSpec(mech, rate=0.03, gated_fraction=f,
+                                     warmup=100, measure=300, seed=s,
+                                     overrides={"width": 4, "height": 4}))
             for s, (mech, f) in enumerate(
                 [("baseline", 0.0), ("baseline", 0.4),
                  ("gflov", 0.4), ("gflov", 0.8), ("rflov", 0.4)], start=1)]
 
 
 def test_batched_sweep_matches_serial_engine():
-    from repro.harness import BatchedSweep
-
     tasks = _batch_tasks()
     serial = ParallelSweep(max_workers=1, use_cache=False).run(tasks)
-    eng = BatchedSweep(batch_size=3, use_cache=False)
+    executor = BatchedExecutor(3)
+    eng = ParallelSweep(executor=executor, use_cache=False)
     batched = eng.run(tasks)
     assert batched == serial
     assert eng.last_mode == "batched"
-    assert eng.last_batches == 2  # 5 compatible tasks in chunks of 3
+    assert executor.last_batches == 2  # 5 compatible tasks in chunks of 3
 
 
 def test_batched_sweep_honors_cache_and_progress(tmp_path):
-    from repro.harness import BatchedSweep
-
     calls = []
 
     def progress(done, total, task, result, from_cache):
         calls.append((done, total, from_cache))
 
     cache = ResultCache(tmp_path / "c")
-    eng = BatchedSweep(batch_size=8, cache=cache, progress=progress)
+    executor = BatchedExecutor(8)
+    eng = ParallelSweep(executor=executor, cache=cache, progress=progress)
     tasks = _batch_tasks()
     first = eng.run(tasks)
-    assert eng.last_cache_hits == 0 and eng.last_batches == 1
+    assert eng.last_cache_hits == 0 and executor.last_batches == 1
     assert [c[:2] for c in calls] == [(i + 1, 5) for i in range(5)]
     calls.clear()
     # second run replays every cell from the per-task cache: no batches
     again = eng.run(tasks)
     assert again == first
-    assert eng.last_cache_hits == 5 and eng.last_batches == 0
+    assert eng.last_cache_hits == 5 and executor.last_batches == 0
     assert eng.last_mode == "cached"
     assert all(c[2] for c in calls)
     # the cache entries are kernel-agnostic: a serial engine hits them
@@ -229,32 +206,14 @@ def test_batched_sweep_honors_cache_and_progress(tmp_path):
 def test_batched_sweep_groups_incompatible_topologies():
     """Tasks with different config overrides (topologies) must land in
     separate batches but still return in task order."""
-    from repro.harness import BatchedSweep
-
-    tasks = [SweepTask("baseline", rate=0.03, warmup=100, measure=300,
-                       seed=1, overrides={"width": 4, "height": 4}),
-             SweepTask("baseline", rate=0.03, warmup=100, measure=300,
-                       seed=2),  # default 8x8
-             SweepTask("baseline", rate=0.03, warmup=100, measure=300,
-                       seed=3, overrides={"width": 4, "height": 4})]
-    eng = BatchedSweep(batch_size=8, use_cache=False)
-    results = eng.run(tasks)
-    assert eng.last_batches == 2
+    small = {"width": 4, "height": 4}
+    tasks = [SweepTask(ExperimentSpec("baseline", rate=0.03, warmup=100,
+                                      measure=300, seed=seed,
+                                      overrides=overrides))
+             for seed, overrides in ((1, small), (2, {}),  # default 8x8
+                                     (3, small))]
+    executor = BatchedExecutor(8)
+    results = ParallelSweep(executor=executor, use_cache=False).run(tasks)
+    assert executor.last_batches == 2
     serial = ParallelSweep(max_workers=1, use_cache=False).run(tasks)
     assert results == serial
-
-
-def test_batched_sweep_derives_seeds_like_serial():
-    """seed=None tasks must get the same derived per-task seed on both
-    engines (the cache/seed contract is engine-independent)."""
-    from repro.harness import BatchedSweep
-
-    def mk():
-        return [SweepTask("baseline", rate=0.03, gated_fraction=f,
-                          warmup=100, measure=300, seed=None,
-                          overrides={"width": 4, "height": 4})
-                for f in (0.0, 0.4)]
-
-    batched = BatchedSweep(batch_size=2, use_cache=False).run(mk())
-    serial = ParallelSweep(max_workers=1, use_cache=False).run(mk())
-    assert batched == serial

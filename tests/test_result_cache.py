@@ -8,7 +8,8 @@ import pytest
 from repro.config import NoCConfig
 from repro.harness import (CACHE_SCHEMA_VERSION, ParallelSweep, ResultCache,
                            SweepTask, result_from_dict, result_to_dict,
-                           run_synthetic, stable_digest)
+                           run_spec, spec_digest, stable_digest)
+from repro.spec import ExperimentSpec
 
 RUN_KW = dict(rate=0.04, gated_fraction=0.4, warmup=150, measure=500, seed=9)
 
@@ -18,10 +19,9 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
 
 
-def _task(**over):
-    kw = dict(RUN_KW)
-    kw.update(over)
-    return SweepTask("gflov", **kw)
+def _task(mechanism="gflov", schedule=None, **over):
+    return SweepTask(ExperimentSpec(mechanism, **{**RUN_KW, **over}),
+                     schedule)
 
 
 def _engine(cache, **kw):
@@ -32,10 +32,26 @@ def _engine(cache, **kw):
 def test_hit_equals_recompute(cache):
     task = _task(keep_samples=True)
     cached = _engine(cache).run([task])[0]
-    recomputed = run_synthetic("gflov", keep_samples=True, **RUN_KW)
+    recomputed = run_spec(task.spec)
     replayed = _engine(cache).run([task])[0]
     assert cache.hits == 1
     assert replayed == recomputed == cached
+
+
+def test_spec_run_hits_warm_cache(tmp_path, monkeypatch):
+    """The default cache (``REPRO_CACHE_DIR``) files an entry under the
+    spec's digest, and a second engine replays it."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    task = _task()
+    cold_engine = ParallelSweep(max_workers=1)
+    cold = cold_engine.run([task])[0]
+    assert cold_engine.last_cache_hits == 0
+    warm_engine = ParallelSweep(max_workers=1)
+    assert warm_engine.run([task])[0] == cold
+    assert warm_engine.last_cache_hits == 1
+    digest = spec_digest(task.spec)
+    assert (tmp_path / "cache" / digest[:2] / f"{digest}.json").is_file()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -65,7 +81,7 @@ def test_changing_topology_misses(cache):
 def test_mechanism_misses(cache):
     eng = _engine(cache)
     eng.run([_task()])
-    eng.run([SweepTask("rflov", **RUN_KW)])
+    eng.run([_task("rflov")])
     assert cache.hits == 0
 
 
@@ -73,7 +89,7 @@ def test_corrupted_file_is_discarded_with_warning(cache):
     task = _task()
     eng = _engine(cache)
     first = eng.run([task])[0]
-    path = cache.path_for(task.resolved().cache_key())
+    path = cache.path_for(task.cache_key())
     assert path.is_file()
     path.write_text("{ not json !!!")
     with pytest.warns(RuntimeWarning, match="corrupted cache entry"):
@@ -87,7 +103,7 @@ def test_schema_mismatch_is_discarded(cache):
     task = _task()
     eng = _engine(cache)
     eng.run([task])
-    path = cache.path_for(task.resolved().cache_key())
+    path = cache.path_for(task.cache_key())
     payload = json.loads(path.read_text())
     payload["schema"] = CACHE_SCHEMA_VERSION + 1
     path.write_text(json.dumps(payload))
@@ -100,7 +116,7 @@ def test_schema_mismatch_is_discarded(cache):
 def test_truncated_result_payload_is_discarded(cache):
     task = _task()
     _engine(cache).run([task])
-    path = cache.path_for(task.resolved().cache_key())
+    path = cache.path_for(task.cache_key())
     payload = json.loads(path.read_text())
     del payload["result"]["avg_latency"]
     path.write_text(json.dumps(payload))
@@ -120,13 +136,13 @@ def test_no_cache_env_bypasses(cache, monkeypatch):
 def test_schedule_tasks_are_uncacheable(cache):
     from repro.gating.schedule import EpochGating
     task = _task(schedule=EpochGating([(0, {5})]))
-    assert task.resolved().cache_key() is None
+    assert task.cache_key() is None
     _engine(cache).run([task])
     assert len(cache) == 0
 
 
 def test_result_roundtrip_bit_identical():
-    r = run_synthetic("rp", keep_samples=True, **RUN_KW)
+    r = run_spec(ExperimentSpec("rp", keep_samples=True, **RUN_KW))
     blob = json.dumps(result_to_dict(r))
     assert result_from_dict(json.loads(blob)) == r
 

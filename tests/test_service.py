@@ -339,20 +339,3 @@ def test_cli_submit_roundtrip(service, tmp_path, capsys):
     bad.write_text(json.dumps(cell(mechanism="nope")))
     assert main(["submit", str(bad), "--port", str(client.port)]) == 2
     assert "unknown mechanism" in capsys.readouterr().err
-
-
-def test_bench_endpoint_serves_snapshot(service, tmp_path):
-    doc = {"schema": 1, "cells": [
-        {"mechanism": "gflov", "gated_fraction": 0.4,
-         "dense_over_active": 3.0}]}
-    path = tmp_path / "BENCH_kernel.json"
-    path.write_text(json.dumps(doc))
-    _, client = service(bench_source=str(path))
-    out = client.bench()
-    assert out["snapshot"]["cells"] == doc["cells"]
-    assert out["source"] == str(path)
-
-    _, bare = service()
-    with pytest.raises(ServiceError) as exc:
-        bare.bench()
-    assert exc.value.status == 404

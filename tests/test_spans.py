@@ -36,13 +36,14 @@ from repro.obs.metrics import (MetricsRegistry, parse_prometheus_text,
 from repro.obs.spans import (SpanCarrier, SpanContext, SpanTracer,
                              current_span_context, finished_span,
                              validate_span_tree)
+from repro.spec import ExperimentSpec
 
 FAST = dict(mechanism="baseline", pattern="uniform", rate=0.02,
             warmup=50, measure=150, overrides={"width": 4, "height": 4})
 
 
 def fast_task(seed: int = 1) -> SweepTask:
-    return SweepTask(seed=seed, **FAST)
+    return SweepTask(ExperimentSpec(seed=seed, **FAST))
 
 
 # -- SpanContext --------------------------------------------------------------
@@ -204,12 +205,12 @@ def test_span_chrome_export_is_valid_and_tracked_by_pid():
 # -- engine propagation -------------------------------------------------------
 
 def test_execute_task_untraced_returns_plain_result():
-    res = _execute_task(fast_task().resolved())
+    res = _execute_task(fast_task())
     assert not isinstance(res, SpanCarrier)
 
 
 def test_execute_task_traced_returns_carrier_with_phases():
-    task = fast_task().resolved()
+    task = fast_task()
     task.span_context = SpanContext.new_root()
     out = _execute_task(task)
     assert isinstance(out, SpanCarrier)
@@ -287,7 +288,7 @@ def test_batched_executor_fabricates_shared_interval_spans(tmp_path):
 
 
 def test_span_context_never_in_cache_key():
-    a, b = fast_task().resolved(), fast_task().resolved()
+    a, b = fast_task(), fast_task()
     b.span_context = SpanContext.new_root()
     assert a.cache_key() == b.cache_key()
     assert a == b  # compare=False: tracing is identity-neutral

@@ -7,7 +7,8 @@ import pytest
 
 from repro.config import NoCConfig
 from repro.gating.schedule import EpochGating, StaticGating
-from repro.harness.cache import spec_digest, stable_digest
+from repro.harness import run_spec
+from repro.harness.cache import result_to_dict, spec_digest, stable_digest
 from repro.spec import ExperimentSpec, SpecError, SweepSpec, load_spec_file
 
 
@@ -145,6 +146,21 @@ def test_build_schedule():
                            "epochs": [[0, []], [500, [1, 2, 3]]]})
     assert isinstance(epochs.build_schedule(cfg), EpochGating)
     assert ExperimentSpec("gflov").build_schedule(cfg) is None
+
+
+def test_declarative_schedule_equivalence():
+    """A declarative epoch schedule runs exactly like the live
+    ``EpochGating`` object it describes."""
+    kw = dict(rate=0.04, warmup=150, measure=600, seed=11)
+    epochs = [(0, ()), (300, (1, 2, 3, 10))]
+    live = run_spec(ExperimentSpec("gflov", **kw),
+                    schedule=EpochGating(epochs))
+    declarative = run_spec(ExperimentSpec(
+        "gflov", schedule={"kind": "epoch",
+                           "epochs": [[s, list(ids)] for s, ids in epochs]},
+        **kw))
+    assert stable_digest(result_to_dict(declarative)) == \
+        stable_digest(result_to_dict(live))
 
 
 # -- cache-key compatibility --------------------------------------------------

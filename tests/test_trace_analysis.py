@@ -4,19 +4,19 @@ Covers journey reconstruction against full traced soaks (100% of
 ejected pids, per-journey invariants), latency attribution reconciling
 with the stats collector bit-for-bit, handshake-report distributions
 matching the histograms the controller pushes, congestion heat,
-the kernel phase profiler (off-switch contract + coverage), the bench
-snapshot diff, and the ``repro analyze`` / ``repro profile`` /
-``repro bench diff`` CLI entry points.
+the kernel phase profiler (off-switch contract + coverage), and the
+``repro analyze`` / ``repro profile`` CLI entry points.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.config import NoCConfig
 from repro.gating.schedule import StaticGating, random_epochs
-from repro.harness import diff_bench, heat_grid, load_bench, run_synthetic
+from repro.harness import heat_grid, run_spec
 from repro.noc.network import Network
 from repro.registry import KERNELS
 from repro.obs import (
@@ -31,6 +31,7 @@ from repro.obs import (
     reconstruct_journeys,
     validate_report,
 )
+from repro.spec import ExperimentSpec
 
 WARMUP, MEASURE = 300, 2000
 
@@ -44,9 +45,10 @@ SOAKS = [
 def _traced(mechanism, gated, rate, *, warmup=WARMUP, measure=MEASURE,
             seed=5, **kw):
     tracer = Tracer()
-    result = run_synthetic(mechanism, rate=rate, gated_fraction=gated,
-                           warmup=warmup, measure=measure, seed=seed,
-                           tracer=tracer, **kw)
+    result = run_spec(ExperimentSpec(mechanism, rate=rate,
+                                     gated_fraction=gated, warmup=warmup,
+                                     measure=measure, seed=seed, **kw),
+                      tracer=tracer)
     assert tracer.dropped == 0
     return tracer.events(), result
 
@@ -170,9 +172,9 @@ def test_congestion_metrics_summary():
 def _epoch_run():
     schedule = random_epochs(64, [0.5, 0.1, 0.6], [1000, 1800], seed=7)
     tracer = Tracer()
-    result = run_synthetic("gflov", rate=0.02, warmup=WARMUP, measure=2500,
-                           seed=5, tracer=tracer, schedule=schedule,
-                           metrics_every=500)
+    result = run_spec(ExperimentSpec("gflov", rate=0.02, warmup=WARMUP,
+                                     measure=2500, seed=5),
+                      tracer=tracer, schedule=schedule, metrics_every=500)
     assert tracer.dropped == 0
     return tracer.events(), result
 
@@ -254,11 +256,11 @@ def test_profiler_detached_is_default_and_results_identical():
     changes simulation results."""
     net = Network(NoCConfig(mechanism="gflov"))
     assert net._profiler is None
-    base = run_synthetic("gflov", rate=0.02, gated_fraction=0.4,
-                         warmup=200, measure=800, seed=5)
+    spec = ExperimentSpec("gflov", rate=0.02, gated_fraction=0.4,
+                          warmup=200, measure=800, seed=5)
+    base = run_spec(spec)
     prof = KernelProfiler()
-    profiled = run_synthetic("gflov", rate=0.02, gated_fraction=0.4,
-                             warmup=200, measure=800, seed=5, profiler=prof)
+    profiled = run_spec(spec, profiler=prof)
     assert profiled == base
     assert prof.cycles > 0
     assert prof.accounted_ns > 0
@@ -269,10 +271,10 @@ def test_profiler_detached_is_default_and_results_identical():
 def test_profile_run_coverage_and_fidelity(kernel):
     """Phase timers must cover (nearly all of) the kernel wall time and
     the profiled run must produce the ordinary simulation outcome."""
-    r = profile_run("gflov", rate=0.02, gated_fraction=0.4, warmup=200,
-                    measure=1000, seed=5, kernel=kernel)
-    base = run_synthetic("gflov", rate=0.02, gated_fraction=0.4,
-                         warmup=200, measure=1000, seed=5, kernel=kernel)
+    spec = ExperimentSpec("gflov", rate=0.02, gated_fraction=0.4, warmup=200,
+                          measure=1000, seed=5, kernel=kernel)
+    r = profile_run(spec)
+    base = run_spec(spec)
     assert r.avg_latency == base.avg_latency
     assert r.packets == base.packets
     assert r.kernel == kernel
@@ -283,6 +285,14 @@ def test_profile_run_coverage_and_fidelity(kernel):
     doc = r.as_dict()
     assert doc["schema"] == 1 and doc["coverage"] == r.coverage
     assert "kernel phase profile" in r.render()
+    # pattern kwargs and a declarative schedule reach the profiled network
+    hot = replace(spec, pattern="hotspot", measure=600,
+                  pattern_kwargs={"hotspots": [27], "weight": 0.6},
+                  schedule={"kind": "epoch",
+                            "epochs": [[0, []], [400, [1, 2, 3, 10]]]})
+    r, base = profile_run(hot), run_spec(hot)
+    assert (r.pattern, r.packets) == ("hotspot", base.packets)
+    assert r.avg_latency == base.avg_latency
 
 
 def test_profiler_reset():
@@ -316,10 +326,11 @@ def test_sampler_close_flushes_partial_window():
     assert rows[-1]["cycle"] == 600.0 and rows[-1]["partial"] == 0.0
 
 
-def test_run_synthetic_flushes_trailing_window(tmp_path):
+def test_run_spec_flushes_trailing_window(tmp_path):
     path = tmp_path / "m.csv"
-    r = run_synthetic("baseline", rate=0.02, warmup=200, measure=1000,
-                      metrics_every=300, metrics_path=str(path))
+    r = run_spec(ExperimentSpec("baseline", rate=0.02, warmup=200,
+                                measure=1000),
+                 metrics_every=300, metrics_path=str(path))
     from repro.obs import load_metrics_csv
     rows = load_metrics_csv(str(path))
     assert rows[-1]["partial"] in (0.0, 1.0)
@@ -327,59 +338,6 @@ def test_run_synthetic_flushes_trailing_window(tmp_path):
     assert rows[-1]["cycle"] == max(row["cycle"] for row in rows)
     assert rows[-1]["cycle"] % 300 != 0 and rows[-1]["partial"] == 1.0
     assert "partial" in r.metrics or r.metrics  # snapshot still populated
-
-
-# -- bench diff ----------------------------------------------------------------
-
-
-def _bench_doc(ratios):
-    return {
-        "schema": 1,
-        "cells": [
-            {"mechanism": m, "gated_fraction": f, "active_s": 0.5,
-             "dense_s": 0.5 * r, "dense_over_active": r,
-             "active_cycles_per_s": 11000}
-            for (m, f), r in ratios.items()
-        ],
-    }
-
-
-def test_bench_diff_roundtrip(tmp_path):
-    old = _bench_doc({("gflov", 0.0): 1.5, ("gflov", 0.4): 2.0,
-                      ("rp", 0.0): 1.4})
-    new = _bench_doc({("gflov", 0.0): 1.55, ("gflov", 0.4): 1.2,
-                      ("nord", 0.0): 1.3})
-    diff = diff_bench(old, new, tolerance=0.30)
-    assert not diff.ok
-    assert [c.key for c in diff.regressions] == [("gflov", 0.4)]
-    assert diff.regressions[0].regressed == ["dense_over_active"]
-    assert diff.only_old == [("rp", 0.0)]
-    assert diff.only_new == [("nord", 0.0)]
-    doc = diff.as_dict()
-    assert doc["ok"] is False and doc["regressions"] == 1
-    text = diff.render()
-    assert "REGRESSION" in text and "gflov@0.4" in text
-    assert "| cell |" in diff.render(markdown=True).splitlines()[0]
-    # file round-trip via load_bench
-    p_old, p_new = tmp_path / "old.json", tmp_path / "new.json"
-    p_old.write_text(json.dumps(old))
-    p_new.write_text(json.dumps(new))
-    assert load_bench(str(p_old))["cells"] == old["cells"]
-    diff2 = diff_bench(str(p_old), str(p_new))
-    assert diff2.as_dict() == doc
-
-
-def test_bench_diff_tolerance_and_validation(tmp_path):
-    old = _bench_doc({("gflov", 0.0): 2.0})
-    new = _bench_doc({("gflov", 0.0): 1.5})  # -25%
-    assert diff_bench(old, new, tolerance=0.30).ok
-    assert not diff_bench(old, new, tolerance=0.20).ok
-    with pytest.raises(ValueError):
-        diff_bench(old, new, tolerance=-0.1)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"nope": []}))
-    with pytest.raises(ValueError):
-        load_bench(str(bad))
 
 
 # -- CLI entry points ----------------------------------------------------------
@@ -441,22 +399,8 @@ def test_cli_profile(tmp_path, capsys):
     assert "kernel phase profile" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert doc["schema"] == 1 and doc["coverage"] > 0.5
-
-
-def test_cli_bench_diff(tmp_path, capsys):
-    old = tmp_path / "old.json"
-    new = tmp_path / "new.json"
-    old.write_text(json.dumps(_bench_doc({("gflov", 0.0): 2.0})))
-    new.write_text(json.dumps(_bench_doc({("gflov", 0.0): 1.9})))
-    rc = cli_main(["bench", "diff", str(old), str(new)])
-    assert rc == 0
-    assert "OK" in capsys.readouterr().out
-    new.write_text(json.dumps(_bench_doc({("gflov", 0.0): 1.0})))
-    rc = cli_main(["bench", "diff", str(old), str(new), "--json"])
-    assert rc == 1
-    assert json.loads(capsys.readouterr().out)["ok"] is False
-    rc = cli_main(["bench", "diff", str(old), str(tmp_path / "missing.json")])
-    assert rc == 2
+    assert cli_main(["profile", "--gated", "2"]) == 2
+    assert "repro profile: error:" in capsys.readouterr().err
 
 
 # -- heat grid (ascii_plot addition) ------------------------------------------
