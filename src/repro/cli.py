@@ -215,8 +215,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _run_sweep(command: str, spec, args: argparse.Namespace, *,
                verbose: bool = False) -> int:
     """Execute a SweepSpec and print its tables ('sweep' / 'spec run')."""
-    from .harness import (BatchedExecutor, ParallelSweep, run_sweep_spec,
-                          series_table)
+    from .harness import (BatchedExecutor, ParallelSweep, breakdown_table,
+                          run_sweep_spec, series_table)
     from .harness.cache import result_to_dict, stable_digest
 
     def progress(done: int, total: int, task, result,
@@ -243,12 +243,16 @@ def _run_sweep(command: str, spec, args: argparse.Namespace, *,
     cells = sum(len(rs) for rs in series.values())
     print(f"sweep: {cells} cells, {engine.last_cache_hits} cache hits, "
           f"executed {engine.last_mode} ({workers})")
+    for title, metric, scale, prec in (
+            ("avg latency (cycles)", "avg_latency", 1.0, 2),
+            ("dynamic power (mW)", "dynamic_w", 1e3, 2),
+            ("static power (mW)", "static_w", 1e3, 2),
+            ("total power (mW)", "total_w", 1e3, 2),
+            ("sleeping routers", "sleeping_routers", 1.0, 0)):
+        print()
+        print(series_table(title, series, metric, scale=scale, prec=prec))
     print()
-    print(series_table("avg latency (cycles)", series, "avg_latency"))
-    print()
-    print(series_table("static power (mW)", series, "static_w", scale=1e3))
-    print()
-    print(series_table("total power (mW)", series, "total_w", scale=1e3))
+    print(breakdown_table("latency breakdown (cycles)", series))
     # one digest over every cell, in cell order: lets CI assert
     # cross-kernel equality of a whole sweep with a single grep
     digest = stable_digest(
@@ -259,22 +263,54 @@ def _run_sweep(command: str, spec, args: argparse.Namespace, *,
 
 
 def cmd_parsec(args: argparse.Namespace) -> int:
-    from .fullsystem import PARSEC, CmpSystem
+    from .fullsystem import PARSEC
+    from .harness import ParallelSweep, normalized_table, run_spec
+    from .spec import ExperimentSpec
 
     benches = args.benchmarks.split(",") if args.benchmarks else list(PARSEC)
     mechs = args.mechanisms.split(",")
+    wargs = {"instructions": args.instructions, "max_cycles": args.max_cycles}
+    try:  # every cell validates before any of them simulates
+        specs = [ExperimentSpec(mech, workload=bench, workload_args=wargs,
+                                seed=args.seed)
+                 for bench in benches for mech in mechs]
+    except ValueError as exc:  # SpecError included
+        print(f"repro parsec: error: {exc}", file=sys.stderr)
+        return 2
+    # full-system results are not cacheable; the pool still fans out
+    results = ParallelSweep(use_cache=False).map_callable(run_spec, specs)
     print(f"{'benchmark':>14} {'mech':>9} {'runtime':>9} {'static uJ':>10} "
           f"{'total uJ':>9} {'sleep':>6}")
-    for bench in benches:
-        for mech in mechs:
-            system = CmpSystem(bench, mech,
-                               instructions_per_core=args.instructions,
-                               seed=args.seed)
-            r = system.run(max_cycles=args.max_cycles)
-            flag = "" if r.finished else "  (cycle cap!)"
-            print(f"{bench:>14} {mech:>9} {r.runtime_cycles:9d} "
-                  f"{r.static_j * 1e6:10.2f} {r.total_j * 1e6:9.2f} "
-                  f"{r.sleeping_routers:6d}{flag}")
+    base = {}
+    for spec, r in zip(specs, results):
+        flag = "" if r.finished else "  (cycle cap!)"
+        print(f"{spec.workload:>14} {spec.mechanism:>9} "
+              f"{r.runtime_cycles:9d} {r.static_j * 1e6:10.2f} "
+              f"{r.total_j * 1e6:9.2f} {r.sleeping_routers:6d}{flag}")
+        if spec.mechanism == "baseline":
+            base[spec.workload] = r
+    if not base or len(mechs) < 2:
+        return 0
+    # Fig. 8(c,d): per-benchmark ratios to Baseline, averaged
+    ratios: dict[str, dict[str, list[float]]] = {}
+    for spec, r in zip(specs, results):
+        b = base[spec.workload]
+        d = ratios.setdefault(spec.mechanism,
+                              {"static": [], "total": [], "runtime": []})
+        d["static"].append(r.static_j / b.static_j)
+        d["total"].append(r.total_j / b.total_j)
+        d["runtime"].append(r.runtime_cycles / b.runtime_cycles)
+    rows = {m: {k: sum(v) / len(v) for k, v in d.items()}
+            for m, d in ratios.items()}
+    print()
+    print(normalized_table("averages normalized to baseline", rows,
+                           "baseline"))
+    g, rp = rows.get("gflov"), rows.get("rp")
+    if g and rp:
+        print(f"\ngFLOV vs RP: static {g['static'] / rp['static'] - 1:+.1%}, "
+              f"total {g['total'] / rp['total'] - 1:+.1%}; "
+              f"gFLOV vs Baseline: static {g['static'] - 1:+.1%}, "
+              f"runtime {g['runtime'] - 1:+.1%}")
     return 0
 
 

@@ -1,61 +1,9 @@
-"""Dependency-free ASCII line charts for benchmark output.
-
-The benchmarks regenerate the paper's figures as numeric tables; these
-helpers additionally render them as terminal plots so trends (orderings,
-crossovers) are visible at a glance in the bench log.
-"""
+"""Dependency-free ASCII charts for the ``repro analyze`` report: bar
+charts, sparklines and mesh heat maps."""
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
-
-#: plot glyphs per series, in assignment order
-GLYPHS = "o*x+#@%&"
-
-
-def line_chart(title: str, xs: Sequence[float],
-               series: Mapping[str, Sequence[float]], *,
-               width: int = 60, height: int = 16,
-               ylabel: str = "", xlabel: str = "") -> str:
-    """Render one or more series over shared x values.
-
-    Points are mapped onto a character grid; later series overwrite
-    earlier ones where they collide. Returns a multi-line string.
-    """
-    if not xs or not series:
-        raise ValueError("need at least one point and one series")
-    for name, ys in series.items():
-        if len(ys) != len(xs):
-            raise ValueError(f"series {name!r} length mismatch")
-
-    all_y = [y for ys in series.values() for y in ys]
-    lo, hi = min(all_y), max(all_y)
-    if hi == lo:
-        hi = lo + 1.0
-    xlo, xhi = min(xs), max(xs)
-    xspan = (xhi - xlo) or 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for si, (name, ys) in enumerate(series.items()):
-        glyph = GLYPHS[si % len(GLYPHS)]
-        for x, y in zip(xs, ys):
-            col = round((x - xlo) / xspan * (width - 1))
-            row = round((y - lo) / (hi - lo) * (height - 1))
-            grid[height - 1 - row][col] = glyph
-
-    lines = [title]
-    if ylabel:
-        lines.append(f"({ylabel})")
-    for i, row in enumerate(grid):
-        yval = hi - (hi - lo) * i / (height - 1)
-        lines.append(f"{yval:10.2f} |" + "".join(row))
-    lines.append(" " * 11 + "+" + "-" * width)
-    lines.append(f"{xlo:>12.2f}" + f"{xhi:>{width - 1}.2f}"
-                 + (f"  ({xlabel})" if xlabel else ""))
-    legend = "   ".join(f"{GLYPHS[i % len(GLYPHS)]} {name}"
-                        for i, name in enumerate(series))
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)
 
 
 def bar_chart(title: str, values: Mapping[str, float], *,

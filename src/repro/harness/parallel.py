@@ -14,7 +14,7 @@ problem in two layers:
   or as lockstep replica batches through
   :func:`repro.noc.batched.run_spec_batch`.  All three implement the
   same small protocol (:class:`Executor`), so schedulers — the sweep
-  helpers, the benchmarks, and the experiment service
+  helpers, the CLI, and the experiment service
   (:mod:`repro.service`) — pick a strategy without caring about
   process pools, and a multi-host shard executor has a seam to slot
   into later.
@@ -553,8 +553,7 @@ class ParallelSweep:
     def run(self, tasks: Sequence[SweepTask]) -> list[ExperimentResult]:
         """Execute tasks (cache, then executor); order is preserved."""
         # private copies (the engine stamps runtime attachments on them)
-        # with cycle defaults pinned in *this* process, so REPRO_FULL is
-        # honored even when pool workers see a different environment
+        # with cycle defaults pinned, so cache keys name the cycle counts
         resolved = [replace(t, spec=t.spec.resolved()) for t in tasks]
         total = len(resolved)
         results: list[ExperimentResult | None] = [None] * total
@@ -640,9 +639,9 @@ class ParallelSweep:
         """Generic fan-out of ``fn`` over ``items`` (no result cache).
 
         ``fn`` must be picklable (module-level) for the pool path; the
-        serial fallback works with any callable.  Used by benchmarks
-        whose unit of work is not a synthetic-traffic task (e.g. the
-        PARSEC full-system runs).
+        serial fallback works with any callable.  Used for work that is
+        not a cached synthetic-traffic task (fault soaks, the PARSEC
+        full-system runs of ``repro parsec``).
         """
         total = len(items)
         if total == 0:

@@ -5,9 +5,10 @@ measurement, Bernoulli injection at a given flits/cycle/node rate, a
 static fraction of cores power-gated by the OS, one of the four
 mechanisms (baseline / rp / rflov / gflov) active.
 
-Paper-length runs (10k warmup + 100k total) are used when the
-``REPRO_FULL`` environment variable is set; the default is a shorter
-run that preserves every qualitative trend at pure-Python speed.
+A spec that leaves its cycle counts unset runs a shorter window than
+the paper's 10k warmup + 100k total, which preserves every qualitative
+trend at pure-Python speed; a paper-length run sets ``warmup`` and
+``measure`` in its spec.
 """
 
 from __future__ import annotations
@@ -25,15 +26,8 @@ from ..traffic.generator import TrafficGenerator
 from ..traffic.patterns import get_pattern
 
 
-def paper_length() -> bool:
-    """True when REPRO_FULL is set: run paper-length simulations."""
-    return bool(os.environ.get("REPRO_FULL"))
-
-
 def default_cycles() -> tuple[int, int]:
-    """(warmup, measured) cycle counts."""
-    if paper_length():
-        return 10_000, 90_000
+    """(warmup, measured) cycle counts of a spec that leaves them unset."""
     return 2_000, 10_000
 
 

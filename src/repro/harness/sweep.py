@@ -1,13 +1,13 @@
 """Parameter sweeps over mechanisms / gated fractions / injection rates —
 the grids behind Figures 6, 7 and 9.
 
-A figure is a declarative :class:`~repro.spec.SweepSpec`;
+A figure is a declarative :class:`~repro.spec.SweepSpec`, checked in
+under ``examples/specs/`` (``repro spec run`` prints its tables);
 :func:`run_sweep_spec` expands it into
 :class:`~repro.spec.ExperimentSpec` cells and hands them to a
 :class:`~repro.harness.parallel.ParallelSweep` as tasks — so a full
-figure grid saturates every core on first run, replays from the
-on-disk result cache afterwards, and is described by data that can
-also live in a ``*.toml``/``*.json`` spec file (``repro spec run``).
+figure grid saturates every core on first run and replays from the
+on-disk result cache afterwards.
 Pass ``engine=ParallelSweep(max_workers=1, use_cache=False)`` for a
 serial, uncached run.
 """
@@ -20,13 +20,6 @@ from .runner import ExperimentResult
 
 #: the four mechanisms every figure compares
 FIGURE_MECHANISMS: tuple[str, ...] = ("baseline", "rp", "rflov", "gflov")
-
-#: gated-core fractions on the x-axis of Figures 6/7/9
-FIGURE_FRACTIONS: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
-                                       0.7, 0.8)
-
-#: the two injection rates of Figures 6/7
-FIGURE_RATES: tuple[float, ...] = (0.02, 0.08)
 
 
 def run_sweep_spec(spec: SweepSpec, engine: ParallelSweep | None = None

@@ -99,8 +99,8 @@ class ExperimentSpec:
     """One experiment, as data.
 
     ``warmup``/``measure`` default to ``None`` = "use the repo's cycle
-    defaults" (:func:`repro.harness.runner.default_cycles`, which honors
-    ``REPRO_FULL``); :meth:`resolved` pins them.  ``kernel=None`` means
+    defaults" (:func:`repro.harness.runner.default_cycles`);
+    :meth:`resolved` pins them.  ``kernel=None`` means
     "follow ``REPRO_KERNEL``" and is deliberately excluded from
     :meth:`cache_key` — kernels are bit-identical by contract.
     """
@@ -220,11 +220,8 @@ class ExperimentSpec:
                          **dict(self.overrides))
 
     def resolved(self) -> "ExperimentSpec":
-        """Copy with warmup/measure cycle defaults pinned.
-
-        Resolution happens in the *calling* process so ``REPRO_FULL``
-        is honored even when workers see a different environment.
-        """
+        """Copy with warmup/measure cycle defaults pinned, so the cache
+        key and the executed run name the same cycle counts."""
         if self.warmup is not None and self.measure is not None:
             return self
         from .harness.runner import default_cycles

@@ -2,38 +2,7 @@
 
 import pytest
 
-from repro.harness.ascii_plot import bar_chart, line_chart, sparkline
-
-
-def test_line_chart_places_extremes():
-    out = line_chart("T", [0, 10], {"a": [1.0, 2.0]}, width=20, height=5)
-    lines = out.splitlines()
-    assert lines[0] == "T"
-    # max value on top row, min on bottom row
-    assert "2.00" in lines[1]
-    assert "1.00" in lines[5]
-    top = lines[1].split("|", 1)[1]
-    bottom = lines[5].split("|", 1)[1]
-    assert top.rstrip().endswith("o")
-    assert bottom.startswith("o")
-
-
-def test_line_chart_multi_series_glyphs_and_legend():
-    out = line_chart("T", [0, 1], {"a": [0, 1], "b": [1, 0]})
-    assert "o a" in out and "* b" in out
-    assert "o" in out and "*" in out
-
-
-def test_line_chart_constant_series():
-    out = line_chart("T", [0, 1, 2], {"flat": [5.0, 5.0, 5.0]})
-    assert "flat" in out
-
-
-def test_line_chart_validation():
-    with pytest.raises(ValueError):
-        line_chart("T", [], {})
-    with pytest.raises(ValueError):
-        line_chart("T", [0, 1], {"a": [1.0]})
+from repro.harness.ascii_plot import bar_chart, sparkline
 
 
 def test_bar_chart_scales_to_peak():

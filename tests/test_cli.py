@@ -84,11 +84,38 @@ def test_sweep_rejects_single_cell_flags():
 
 
 def test_parsec(capsys):
+    """``repro parsec`` rows are ``run_spec`` of the workload spec its
+    flags compile to — one full-system path."""
+    from repro.harness import run_spec
+    from repro.spec import ExperimentSpec
+
     rc, out = run_cli(capsys, "parsec", "--benchmarks", "swaptions",
                       "--mechanisms", "baseline", "--instructions", "60",
                       "--max-cycles", "40000")
     assert rc == 0
-    assert "swaptions" in out
+    r = run_spec(ExperimentSpec(
+        "baseline", workload="swaptions", seed=1,
+        workload_args={"instructions": 60, "max_cycles": 40000}))
+    (row,) = [ln for ln in out.splitlines() if "swaptions" in ln]
+    assert row.split() == ["swaptions", "baseline", str(r.runtime_cycles),
+                           f"{r.static_j * 1e6:.2f}",
+                           f"{r.total_j * 1e6:.2f}",
+                           str(r.sleeping_routers)]
+
+
+@pytest.mark.parametrize("flag,value", [("--benchmarks", "nope"),
+                                        ("--mechanisms", "gfolv"),
+                                        ("--mechanisms", "baseline,gfolv")])
+def test_parsec_reports_bad_names_as_error(capsys, monkeypatch, flag,
+                                           value):
+    """Every cell validates before any simulates: the good baseline cells
+    of ``baseline,gfolv`` must not run ahead of the bad name."""
+    def boom(*args, **kwargs):
+        raise AssertionError("simulated before validating every cell")
+
+    monkeypatch.setattr("repro.fullsystem.CmpSystem.run", boom)
+    assert main(["parsec", flag, value]) == 2
+    assert "repro parsec: error:" in capsys.readouterr().err
 
 
 def test_trace_roundtrip(tmp_path, capsys):

@@ -1,13 +1,19 @@
 """Out-of-tree callers must keep working: examples run as subprocesses,
-and ``bench/`` (outside tier-1 ``testpaths``) still finds its imports."""
+``bench/`` (outside tier-1 ``testpaths``) still finds its imports, and
+every command EXPERIMENTS.md regenerates a table with still parses."""
 
 import ast
 import importlib
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.cli import build_parser
+from repro.spec import load_spec_file
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "examples"
@@ -73,3 +79,26 @@ def test_bench_imports_resolve():
                     and not hasattr(imported[node.value.id], node.attr)):
                 missing.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert not missing, missing
+
+
+def test_experiments_regenerate_markers_resolve():
+    """Each pinned table in EXPERIMENTS.md names the command that prints
+    it; CI reruns those commands and diffs.  Here, without simulating:
+    the command must parse and any spec file it names must load."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    commands = re.findall(r"<!-- regenerate: python -m repro (.+?) -->",
+                          text)
+    assert commands
+    for command in commands:
+        argv = shlex.split(command)
+        build_parser().parse_args(argv)
+        for word in argv:
+            if word.endswith((".toml", ".json")):
+                load_spec_file(str(ROOT / word))
+
+
+def test_example_specs_load():
+    paths = sorted((EXAMPLES / "specs").iterdir())
+    assert paths
+    for path in paths:
+        load_spec_file(str(path))

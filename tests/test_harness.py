@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness import (breakdown_table, default_cycles,
                            normalized_table, run_spec, run_sweep_spec,
-                           series_table, timeline_table)
+                           series_table)
 from repro.spec import ExperimentSpec, SweepSpec
 
 
@@ -48,11 +48,10 @@ def test_runner_keep_samples():
     assert len(r.samples) == r.packets
 
 
-def test_default_cycles_env(monkeypatch):
-    monkeypatch.delenv("REPRO_FULL", raising=False)
+def test_default_cycles_constant():
+    """No environment knob changes the cycle defaults: a spec that
+    leaves them unset names the same run everywhere."""
     assert default_cycles() == (2_000, 10_000)
-    monkeypatch.setenv("REPRO_FULL", "1")
-    assert default_cycles() == (10_000, 90_000)
 
 
 def test_sweep_fraction_grid_shape():
@@ -92,13 +91,32 @@ def test_breakdown_table_renders():
     assert "router" in t and "flov" in t and "contend" in t
 
 
+def test_tables_label_rows_by_rate_when_series_spans_rates():
+    """Regression: a multi-rate sweep printed rows labelled only by
+    gated% (``0, 40, 0, 40``), which cannot be told apart."""
+    out = run_sweep_spec(SweepSpec(mechanisms=["baseline"],
+                                   rates=[0.02, 0.08],
+                                   gated_fractions=[0.0, 0.4],
+                                   warmup=50, measure=200,
+                                   overrides={"width": 4, "height": 4}))
+    rows = series_table("T", out, "avg_latency").splitlines()[3:]
+    assert [row.rsplit("|", 1)[0].split() for row in rows] == [
+        ["0.02", "|", "0"], ["0.02", "|", "40"],
+        ["0.08", "|", "0"], ["0.08", "|", "40"]]
+    rows = breakdown_table("B", out).splitlines()[3:]
+    assert [row.split()[1:3] for row in rows] == [
+        ["0.02", "0"], ["0.02", "40"], ["0.08", "0"], ["0.08", "40"]]
+    # one rate: the layout CI greps and EXPERIMENTS.md pins is unchanged
+    single = {m: rs[:2] for m, rs in out.items()}
+    lines = series_table("T", single, "avg_latency").splitlines()
+    assert lines[1] == "  gated% |  baseline"
+    assert [ln[:11] for ln in lines[3:]] == ["       0 | ", "      40 | "]
+    lines = breakdown_table("B", single).splitlines()
+    assert lines[1].split()[:3] == ["mech", "gated%", "router"]
+    assert lines[3].split()[:2] == ["baseline", "0"]
+
+
 def test_normalized_table():
     rows = {"base": {"m": 2.0}, "x": {"m": 1.0}}
     t = normalized_table("N", rows, "base")
     assert "0.500" in t and "1.000" in t
-
-
-def test_timeline_table():
-    t = timeline_table("TL", {"a": [(0, 1.0), (10, 2.0)],
-                              "b": [(0, 3.0)]}, window=10)
-    assert "TL" in t and "3.0" in t

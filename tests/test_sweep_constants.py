@@ -1,17 +1,7 @@
 """Harness constants must match the paper's figure axes."""
 
-from repro.harness import (FIGURE_FRACTIONS, FIGURE_MECHANISMS, FIGURE_RATES)
+from repro.harness import FIGURE_MECHANISMS
 
 
 def test_figure_mechanisms():
     assert FIGURE_MECHANISMS == ("baseline", "rp", "rflov", "gflov")
-
-
-def test_figure_fractions_cover_paper_axis():
-    assert FIGURE_FRACTIONS[0] == 0.0
-    assert FIGURE_FRACTIONS[-1] == 0.8
-    assert all(b > a for a, b in zip(FIGURE_FRACTIONS, FIGURE_FRACTIONS[1:]))
-
-
-def test_figure_rates_are_papers():
-    assert FIGURE_RATES == (0.02, 0.08)
