@@ -268,9 +268,9 @@ class FaultInjector:
 
         Stalling rewrites every due queue entry to ``now + 1``.  The
         queue stays arrival-monotone (the bumped prefix can never
-        overtake later entries) and the timing-wheel contract holds:
-        a bucket popped for a bumped channel simply re-files it at the
-        new head arrival (the documented loose-invariant path).
+        overtake later entries), and each stalled item gets a wheel
+        entry at ``now + 1``; the entries it had at ``now`` go stale and
+        the kernel drops them (the ``noc/channel.py`` wheel contract).
         """
         expired = [k for k, dl in self._dead.items() if now >= dl.until]
         for key in expired:
@@ -286,6 +286,9 @@ class FaultInjector:
                     stalled.append(q.popleft()[1])
                 for item in reversed(stalled):
                     q.appendleft((now + 1, item))
+                if ch.wheel is not None:
+                    ch.wheel.setdefault(now + 1, []).extend(
+                        [ch] * len(stalled))
 
     @property
     def dead_links(self) -> tuple[tuple[int, int], ...]:

@@ -11,20 +11,23 @@ Event-wheel integration (the activity-driven kernel)
 
 Under ``REPRO_KERNEL=active`` the network binds every wired channel to a
 *timing wheel* — a ``dict[arrival_cycle, list[channel]]`` owned by the
-:class:`~repro.noc.network.Network`.  A channel registers itself in the
-wheel bucket of its **head arrival cycle** the moment it goes from empty
-to non-empty; the kernel then only visits channels whose head is due at
-``now`` instead of scanning every channel of every router each cycle.
+:class:`~repro.noc.network.Network`.  Every send files the channel once
+in the bucket of **that item's** arrival cycle, so the kernel only
+visits channels with an item due at ``now`` instead of scanning every
+channel of every router each cycle, and a bucket lists its channels in
+send order.
 
-Registration invariants (kept deliberately loose so standalone channels
-and direct test manipulation keep working):
+Wheel contract (kept deliberately loose so standalone channels and
+direct test manipulation keep working):
 
-* ``scheduled`` means "this channel appears in exactly one wheel bucket".
-* The kernel drains every due item when it pops a bucket, then either
-  re-registers the channel at its new head arrival or clears
-  ``scheduled``.  A bucket entry whose channel turns out to be empty or
-  not-yet-due (possible after :meth:`clear` or a manual
-  :meth:`receive`) is simply re-filed or dropped — never an error.
+* Every queued item has an entry at its arrival cycle: per channel and
+  cycle, entries >= queued items (``derived_state_violations`` recounts
+  it).
+* The kernel pops exactly one due item per entry.  An entry whose
+  channel turns out to be empty or whose head is not due yet (left
+  behind by :meth:`clear`, a manual :meth:`receive`, or a link outage
+  that re-filed its items later) is stale and simply dropped — never an
+  error.
 * All simulator send sites use strictly future arrivals, so a bucket for
   a past cycle can never be left behind by normal operation.
 """
@@ -43,8 +46,8 @@ T = TypeVar("T")
 class DelayChannel(Generic[T]):
     """A fixed-latency, order-preserving delay line."""
 
-    __slots__ = ("latency", "_q", "wheel", "sink", "sink_dir", "scheduled",
-                 "sent", "owner")
+    __slots__ = ("latency", "_q", "wheel", "sink", "sink_dir", "sent",
+                 "owner")
 
     def __init__(self, latency: int = 1) -> None:
         if latency < 1:
@@ -60,8 +63,6 @@ class DelayChannel(Generic[T]):
         #: receiving router / port, bound by the network at wiring time
         self.sink: "Router | None" = None
         self.sink_dir = None
-        #: True while this channel sits in some wheel bucket
-        self.scheduled = False
         #: replica index within a :class:`~repro.noc.batched.ReplicaBatch`
         #: (0 outside of batched execution); the batch kernel's shared
         #: wheels use it to drop registrations of retired replicas
@@ -85,16 +86,13 @@ class DelayChannel(Generic[T]):
             raise ValueError("channel arrivals must be monotone")
         q.append((arrival, item))
         self.sent += 1
-        if not self.scheduled:
-            wheel = self.wheel
-            if wheel is not None:
-                self.scheduled = True
-                head = q[0][0]
-                bucket = wheel.get(head)
-                if bucket is None:
-                    wheel[head] = [self]
-                else:
-                    bucket.append(self)
+        wheel = self.wheel
+        if wheel is not None:
+            bucket = wheel.get(arrival)
+            if bucket is None:
+                wheel[arrival] = [self]
+            else:
+                bucket.append(self)
 
     def receive(self, now: int) -> list[T]:
         """Pop and return every item whose arrival cycle is <= ``now``."""
@@ -111,8 +109,8 @@ class DelayChannel(Generic[T]):
     def clear(self) -> None:
         """Drop everything in flight (power-state reconfiguration only).
 
-        A stale wheel registration may remain; the kernel drops it when
-        the bucket comes due (see the module docstring invariants).
+        Stale wheel entries remain; the kernel drops them when their
+        buckets come due (see the module docstring contract).
         """
         self._q.clear()
 
@@ -145,26 +143,18 @@ class DelayChannel(Generic[T]):
             self._q = deque((arrival, decode(item))
                             for arrival, item in data["q"])
         self.sent = data["sent"]
-        self.scheduled = False
 
     def reschedule(self) -> None:
-        """Re-register into the bound wheel from current queue contents.
+        """File one wheel entry per queued item, at its arrival.
 
         Called once per channel at the end of a network restore, after
         the owning kernel's wheels have been cleared; a no-op for
         unbound (dense/standalone) channels and empty queues.
         """
-        self.scheduled = False
         wheel = self.wheel
-        q = self._q
-        if wheel is not None and q:
-            self.scheduled = True
-            head = q[0][0]
-            bucket = wheel.get(head)
-            if bucket is None:
-                wheel[head] = [self]
-            else:
-                bucket.append(self)
+        if wheel is not None:
+            for arrival, _ in self._q:
+                wheel.setdefault(arrival, []).append(self)
 
 
 class CreditChannel(DelayChannel[int]):

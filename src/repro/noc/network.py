@@ -42,6 +42,7 @@ from ..power.accounting import EnergyAccountant
 from ..power.dsent import power_config_for
 from ..registry import KERNELS as KERNEL_REGISTRY
 from ..registry import MECHANISMS as MECHANISM_REGISTRY
+from .buffer import VCState
 from .mechanism import Mechanism
 from .router import Router
 from .stats import StatsCollector
@@ -69,49 +70,69 @@ def default_kernel() -> str:
 
 def deliver_due(wheel: dict[int, list], now: int, *, credits: bool,
                 retired: list[bool] | None = None) -> None:
-    """Deliver every item due at ``now`` on the channels filed under it.
-
-    The delivery loop of the wheel-driven kernels.  A channel is then
-    re-filed at its new head arrival or unscheduled; a stale entry (a
-    channel emptied by ``clear()``/``receive()``, or one whose head is
-    not due yet) is handled the same way, never an error.  ``credits``
-    selects ``deliver_credit`` over ``deliver_flit`` and applies a
-    credit to a powered sink in place; ``retired[ch.owner]`` (the batch
-    kernel) drops a channel's registration undelivered.
-    """
+    """The wheel-driven kernels' delivery loop: each entry of the ``now``
+    bucket pops one due item off its channel; a stale entry (see the
+    ``noc/channel.py`` wheel contract) is dropped.  A powered sink gets
+    ``Router.deliver_credit`` / ``deliver_flit``'s powered branch in
+    place, a sleeping one the call.  ``retired[ch.owner]`` (the batch
+    kernel) drops an entry undelivered."""
     bucket = wheel.pop(now, None)
     if bucket is None:
         return
+    if retired is not None:
+        bucket = [ch for ch in bucket if not retired[ch.owner]]
     draining = PowerState.DRAINING
+    if credits:
+        for ch in bucket:
+            q = ch._q
+            if not q or q[0][0] > now:
+                continue  # stale entry
+            vc = q.popleft()[1]
+            sink = ch.sink
+            if sink.state <= draining:
+                cr = sink.credits[ch.sink_dir]
+                if cr[vc] < sink.cfg.buffer_depth:
+                    cr[vc] += 1
+            else:
+                sink.deliver_credit(vc, ch.sink_dir, now)
+        return
+    idle, routing = VCState.IDLE, VCState.ROUTING
     for ch in bucket:
-        if retired is not None and retired[ch.owner]:
-            ch.scheduled = False
-            continue
         q = ch._q
+        if not q or q[0][0] > now:
+            continue  # stale entry
+        flit = q.popleft()[1]
         sink = ch.sink
         d = ch.sink_dir
-        if credits:
-            while q and q[0][0] <= now:
-                vc = q.popleft()[1]
-                if sink.state <= draining:
-                    # ``Router.deliver_credit`` on a powered router
-                    cr = sink.credits[d]
-                    if cr[vc] < sink.cfg.buffer_depth:
-                        cr[vc] += 1
-                else:
-                    sink.deliver_credit(vc, d, now)
-        else:
-            while q and q[0][0] <= now:
-                sink.deliver_flit(q.popleft()[1], d, now)
-        if q:  # still in flight: re-file at the new head arrival
-            head = q[0][0]
-            nxt = wheel.get(head)
-            if nxt is None:
-                wheel[head] = [ch]
-            else:
-                nxt.append(ch)
-        else:
-            ch.scheduled = False
+        if sink.state > draining:
+            sink.deliver_flit(flit, d, now)
+            continue
+        flit.in_dir = d
+        flit.ready = now + sink._rl_m1
+        flit.buffered_at = now
+        ivc = sink.ivc[d][flit.vc]
+        buf = ivc.buffer
+        if len(buf) >= ivc.capacity:
+            raise OverflowError("VC buffer overflow: flow control violated")
+        buf.append(flit)
+        if flit.is_head:
+            if ivc.state is idle and len(buf) == 1:
+                ivc.state = routing
+                ivc.wait_since = now
+                sink._port_routing[d] += 1
+                sink._n_routing += 1
+            tr = sink._tracer
+            if tr is not None:
+                tr.emit(now, "hop", sink.node, flit.packet.pid, d.name,
+                        flit.vc)
+        elif ivc.state is idle:
+            # mid-packet adoption after wakeup (``Router.deliver_flit``)
+            sink._adopt_midstream(flit, d)
+        sink.occupancy += 1
+        if not sink._active:
+            sink._active = True
+            sink.net._active_mask |= sink._bit
+        sink._acct.buffer_writes += 1
 
 
 class Network:

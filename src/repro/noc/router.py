@@ -167,8 +167,7 @@ class NetworkInterface:
         """Try to push one flit into the router's LOCAL input port."""
         router = self.router
         frozen = router.net.injection_frozen
-        cfg = router.cfg
-        nv = cfg.num_vnets
+        nv = router.cfg.num_vnets
         local = router.ivc[Direction.LOCAL]
         for off in range(nv):
             vnet = (self._vnet_rr + off) % nv
@@ -187,17 +186,23 @@ class NetworkInterface:
                     continue
                 self._cur_vc[vnet] = vc
                 flit.packet.inject_time = now
+                ivc = local[vc]
             else:
                 vc = self._cur_vc[vnet]
-                if local[vc].free_slots <= 0:
+                ivc = local[vc]
+                if len(ivc.buffer) >= ivc.capacity:
                     continue
             flit.vc = vc
             flit.in_dir = Direction.LOCAL
-            flit.ready = now + cfg.router_latency - 1
+            flit.ready = now + router._rl_m1
             flit.buffered_at = now
-            local[vc].push(flit, now)
+            # inlined ``InputVC.push`` (the checks above leave room): a
+            # head enters an empty IDLE VC (``_pick_idle_vc``)
+            ivc.buffer.append(flit)
             if flit.is_head:
                 # head entered an idle VC: it is now ROUTING
+                ivc.state = VCState.ROUTING
+                ivc.wait_since = now
                 router._port_routing[Direction.LOCAL] += 1
                 router._n_routing += 1
                 tr = router._tracer
@@ -206,9 +211,8 @@ class NetworkInterface:
                     tr.emit(now, "inject", router.node, pkt.pid, pkt.src,
                             pkt.dest, pkt.size, pkt.vnet)
             router.occupancy += 1
-            router.port_flits[Direction.LOCAL] += 1
             router.net._flits += 1  # flit enters the fabric
-            router.net.accountant.on_buffer_write()
+            router._acct.buffer_writes += 1
             router.last_local_activity = now
             self._pending -= 1
             self._heads[vnet] = h + 1
@@ -349,8 +353,8 @@ class Router:
         self.injectable_vcs = cfg.num_vcs
         #: buffered flit count across all input VCs (evaluate early-out)
         self.occupancy = 0
-        #: buffered flit count per input port (allocator early-out)
-        self.port_flits: dict[Direction, int] = {d: 0 for d in self.ports}
+        #: the network's energy accountant (restores mutate it in place)
+        self._acct = net.accountant
         #: per-port count of VCs in ROUTING state and its router-wide
         #: total.  Maintained at every VC state transition so VA and the
         #: escape-timeout scan can skip ports (and stop early) without
@@ -436,7 +440,7 @@ class Router:
         return self.state <= PowerState.DRAINING
 
     def buffers_empty(self) -> bool:
-        return all(not vc.buffer for vcs in self.ivc.values() for vc in vcs)
+        return self.occupancy == 0
 
     def in_flight_toward(self, d: Direction) -> bool:
         """Any packet currently allocated through output port ``d``?"""
@@ -445,7 +449,9 @@ class Router:
     # -- delivery (phase 1) ----------------------------------------------------
 
     def deliver_flit(self, flit: Flit, from_dir: Direction, now: int) -> None:
-        acct = self.net.accountant
+        """Buffer a flit, or fly it over a sleeping router (``dense`` runs
+        this; ``network.deliver_due`` inlines the powered branch)."""
+        acct = self._acct
         if self.state <= PowerState.DRAINING:  # inlined ``powered``
             flit.in_dir = from_dir
             flit.ready = now + self._rl_m1
@@ -465,7 +471,6 @@ class Router:
                 self._port_routing[from_dir] += 1
                 self._n_routing += 1
             self.occupancy += 1
-            self.port_flits[from_dir] += 1
             if not self._active:  # buffered work: (re)enter the active scan
                 self._active = True
                 self.net._active_mask |= self._bit
@@ -531,8 +536,7 @@ class Router:
             flit = vc.pop(now)
             assert flit.packet is pkt
             self.occupancy -= 1
-            self.port_flits[in_dir] -= 1
-            self.net.accountant.on_buffer_read()
+            self._acct.buffer_reads += 1
             if in_dir != Direction.LOCAL:
                 self.out_credit[in_dir].send_at(
                     vci, now + self.cfg.credit_latency)
@@ -575,9 +579,9 @@ class Router:
     def evaluate(self, now: int) -> None:
         if self.state > PowerState.DRAINING:  # inlined ``powered``
             return
+        # (no idle guard: the active scan skips idle routers, and for
+        # ``dense`` the ``occupancy`` test after injection returns)
         ni = self.ni
-        if self.occupancy == 0 and ni._pending == 0:
-            return
         if (self._uses_escape and now >= self._esc_next
                 and (self._n_routing or self._active_ports)):
             self._escalate_timeouts(now)
@@ -658,11 +662,15 @@ class Router:
     # -- VC allocation ------------------------------------------------------
 
     def _vc_allocate(self, now: int) -> None:
+        # a grant is an inlined ``InputVC.allocate`` (ROUTING -> ACTIVE)
         mech = self.mech
         requests: dict[Direction,
                        list[tuple[int, Direction, int, list[int]]]] | None = None
         V = self._V
         pr = self._port_routing
+        act = self._active_vcs
+        routing, active = VCState.ROUTING, VCState.ACTIVE
+        local = Direction.LOCAL
         for pi, in_dir in enumerate(self.ports):
             remaining = pr[in_dir]
             if not remaining:
@@ -670,7 +678,7 @@ class Router:
             vcs = self.ivc[in_dir]
             for vci in range(V):
                 vc = vcs[vci]
-                if vc.state is not VCState.ROUTING:
+                if vc.state is not routing:
                     continue
                 remaining -= 1
                 front = vc.buffer[0]  # ROUTING invariant: head at front
@@ -680,41 +688,49 @@ class Router:
                         mech.request_wakeup(self, decision.wake_target, now)
                 else:
                     out_d = decision.out_dir
-                    if out_d == Direction.LOCAL:
-                        vc.allocate(Direction.LOCAL, 0)
+                    if out_d is local:
+                        vc.state = active
+                        vc.out_port = local
+                        vc.out_vc = 0
                         pr[in_dir] -= 1
                         self._n_routing -= 1
-                        self._active_vcs[in_dir] |= 1 << vci
+                        act[in_dir] |= 1 << vci
                         self._active_ports |= 1 << in_dir
-                        self.net.accountant.on_arbitration()
+                        self._acct.arbitrations += 1
                     else:
-                        allowed = mech.allowed_vcs(self, front.packet)
+                        req = (pi * V + vci, in_dir, vci,
+                               mech.allowed_vcs(self, front.packet))
                         if requests is None:
-                            requests = {}
-                        requests.setdefault(out_d, []).append(
-                            (pi * V + vci, in_dir, vci, allowed))
+                            requests = {out_d: [req]}
+                        elif out_d in requests:
+                            requests[out_d].append(req)
+                        else:
+                            requests[out_d] = [req]
                 if not remaining:
                     break  # every ROUTING VC of this port handled
 
         if requests is None:
             return
-        total = len(self.ports) * V
-        act = self._active_vcs
+        total = self._nports * V
         for out_d, reqs in requests.items():
-            ptr = self._va_ptr[out_d]
-            reqs.sort(key=lambda r: (r[0] - ptr) % total)
+            if len(reqs) > 1:
+                ptr = self._va_ptr[out_d]
+                reqs.sort(key=lambda r: (r[0] - ptr) % total)
             owners = self.out_owner[out_d]
             granted_any = False
             for key, in_dir, vci, allowed in reqs:
                 for ovc in allowed:
                     if owners[ovc] is None:
                         owners[ovc] = (in_dir, vci)
-                        self.ivc[in_dir][vci].allocate(out_d, ovc)
+                        vc = self.ivc[in_dir][vci]
+                        vc.state = active
+                        vc.out_port = out_d
+                        vc.out_vc = ovc
                         pr[in_dir] -= 1
                         self._n_routing -= 1
                         act[in_dir] |= 1 << vci
                         self._active_ports |= 1 << in_dir
-                        self.net.accountant.on_arbitration()
+                        self._acct.arbitrations += 1
                         if not granted_any:
                             self._va_ptr[out_d] = (key + 1) % total
                             granted_any = True
@@ -731,12 +747,20 @@ class Router:
             self._active_ports &= ~(1 << in_dir)
 
     def _switch_allocate(self, now: int) -> None:
-        """Separable input-first SA over the ACTIVE VCs, then ST.
+        """Separable input-first SA over the ACTIVE VCs, fused with ST.
 
         The rotation tables yield exactly the masked ports / VCs in the
         order the full rotated ``ports x VCs`` scan would reach them, so
-        grants and pointer updates are those of that scan.  All grants
-        are decided before any winner traverses.
+        grants and pointer updates are those of that scan.
+
+        A winner traverses as soon as it is granted, which equals
+        granting everything first: a traversal touches its own input port
+        (whose VC loop has just ``break``-ed), its output port (now in
+        ``taken``), the downstream channels (inlined ``send_at``) and,
+        through ``NetworkInterface.eject``, the stats and the node's sink.
+        No later grant of this call reads any of them: a sink only queues
+        NI work, FLOV's ``request_wakeup`` only pushes a handshake message,
+        NoRD's ``on_local_inject_blocked`` only touches its ring.
         """
         V = self._V
         act = self._active_vcs
@@ -746,83 +770,102 @@ class Router:
         sa_vc_ptr = self._sa_vc_ptr
         vc_rot = self._vc_rot
         local = Direction.LOCAL
+        acct = self._acct
+        link_at = now + self._link_delay
+        credit_at = now + self._credit_delay
         taken = 0  # bitmask over Direction values of granted output ports
-        winners: list[tuple[Direction, int, InputVC]] = []
         for in_dir in self._port_rot[self._sa_in_ptr][self._active_ports]:
             vcs = ivc[in_dir]
             for vci in vc_rot[sa_vc_ptr[in_dir]][act[in_dir]]:
                 vc = vcs[vci]
                 buf = vc.buffer
-                if buf and buf[0].ready <= now:
-                    od = vc.out_port
-                    if not taken & (1 << od):
-                        pw = paused.get(od) if paused else None
-                        if not (pw and self.logical.get(od) in pw):
-                            # (paused: we promised silence to the router we
-                            # currently feed while it drains / powers on)
-                            if od is local or credits[od][vc.out_vc] > 0:
-                                taken |= 1 << od
-                                winners.append((in_dir, vci, vc))
-                                nxt = vci + 1
-                                sa_vc_ptr[in_dir] = nxt if nxt < V else 0
-                                break
-        nxt = self._sa_in_ptr + 1
-        self._sa_in_ptr = nxt if nxt < self._nports else 0
-        if not winners:
-            return
+                if not buf or buf[0].ready > now:
+                    continue
+                od = vc.out_port
+                if taken & (1 << od):
+                    continue
+                if paused and (pw := paused.get(od)) \
+                        and self.logical.get(od) in pw:
+                    # (paused: we promised silence to the router we
+                    # currently feed while it drains / powers on)
+                    continue
+                if od is not local:
+                    cr = credits[od]
+                    ovc = vc.out_vc
+                    if cr[ovc] <= 0:
+                        continue
+                taken |= 1 << od
+                sa_vc_ptr[in_dir] = (vci + 1) % V
 
-        # switch traversal of every winner
-        port_flits = self.port_flits
-        out_credit = self.out_credit
-        credit_at = now + self._credit_delay
-        acct = self.net.accountant
-        for in_dir, vci, vc in winners:
-            od = vc.out_port
-            ovc = vc.out_vc
-            buf = vc.buffer
-            flit = buf.popleft()
-            pkt = flit.packet
-            is_tail = flit.is_tail
-            if is_tail:
-                # the departing tail frees the VC: ACTIVE -> IDLE, or
-                # straight to ROUTING if the next packet's head is
-                # already queued behind it
-                vc.out_port = None
-                vc.out_vc = -1
-                if buf and buf[0].is_head:
-                    vc.state = VCState.ROUTING
-                    vc.wait_since = now
-                    self._port_routing[in_dir] += 1
-                    self._n_routing += 1
+                # switch traversal
+                flit = buf.popleft()
+                pkt = flit.packet
+                is_tail = flit.is_tail
+                if is_tail:
+                    # the departing tail frees the VC: ACTIVE -> IDLE, or
+                    # straight to ROUTING if the next packet's head is
+                    # already queued behind it
+                    vc.out_port = None
+                    vc.out_vc = -1
+                    if buf and buf[0].is_head:
+                        vc.state = VCState.ROUTING
+                        vc.wait_since = now
+                        self._port_routing[in_dir] += 1
+                        self._n_routing += 1
+                    else:
+                        vc.state = VCState.IDLE
+                        vc.wait_since = -1
+                    left = act[in_dir] & ~(1 << vci)
+                    act[in_dir] = left
+                    if not left:
+                        self._active_ports &= ~(1 << in_dir)
+                self.occupancy -= 1
+                acct.buffer_reads += 1
+                acct.xbar_traversals += 1
+                if od is local:
+                    self.net._flits -= 1  # flit left the fabric at the NI
+                    if flit.is_head:
+                        pkt.router_hops += 1
+                    if is_tail:
+                        self.ni.eject(pkt, now)
                 else:
-                    vc.state = VCState.IDLE
-                    vc.wait_since = -1
-                left = act[in_dir] & ~(1 << vci)
-                act[in_dir] = left
-                if not left:
-                    self._active_ports &= ~(1 << in_dir)
-            self.occupancy -= 1
-            port_flits[in_dir] -= 1
-            acct.buffer_reads += 1
-            acct.xbar_traversals += 1
-            if od is local:
-                self.net._flits -= 1  # flit left the fabric at the NI
-                if flit.is_head:
-                    pkt.router_hops += 1
-                if is_tail:
-                    self.ni.eject(pkt, now)
-            else:
-                acct.link_traversals += 1
-                credits[od][ovc] -= 1
-                flit.vc = ovc
-                self.out_flit[od].send_at(flit, now + self._link_delay)
-                if flit.is_head:
-                    pkt.router_hops += 1
-                    pkt.link_hops += 1
-                if is_tail:
-                    self.out_owner[od][ovc] = None
-            if in_dir is not local:
-                out_credit[in_dir].send_at(vci, credit_at)
+                    acct.link_traversals += 1
+                    cr[ovc] -= 1
+                    flit.vc = ovc
+                    ch = self.out_flit[od]
+                    q = ch._q
+                    if q and q[-1][0] > link_at:
+                        raise ValueError("channel arrivals must be monotone")
+                    q.append((link_at, flit))
+                    ch.sent += 1
+                    wheel = ch.wheel
+                    if wheel is not None:
+                        bucket = wheel.get(link_at)
+                        if bucket is None:
+                            wheel[link_at] = [ch]
+                        else:
+                            bucket.append(ch)
+                    if flit.is_head:
+                        pkt.router_hops += 1
+                        pkt.link_hops += 1
+                    if is_tail:
+                        self.out_owner[od][ovc] = None
+                if in_dir is not local:
+                    ch = self.out_credit[in_dir]
+                    q = ch._q
+                    if q and q[-1][0] > credit_at:
+                        raise ValueError("channel arrivals must be monotone")
+                    q.append((credit_at, vci))
+                    ch.sent += 1
+                    wheel = ch.wheel
+                    if wheel is not None:
+                        bucket = wheel.get(credit_at)
+                        if bucket is None:
+                            wheel[credit_at] = [ch]
+                        else:
+                            bucket.append(ch)
+                break
+        self._sa_in_ptr = (self._sa_in_ptr + 1) % self._nports
 
     # -- SimSnapshot protocol -------------------------------------------------
 
@@ -849,7 +892,9 @@ class Router:
             "sa_vc_ptr": encode_dirmap(self._sa_vc_ptr),
             "last_local_activity": self.last_local_activity,
             "occupancy": self.occupancy,
-            "port_flits": encode_dirmap(self.port_flits),
+            # schema v1 carries per-port flit counts: recounted
+            "port_flits": encode_dirmap(
+                self.ivc, lambda vcs: sum(len(vc.buffer) for vc in vcs)),
             "port_routing": encode_dirmap(self._port_routing),
             # the ACTIVE masks are derived state: schema v1 carries counts
             "port_active": encode_dirmap(self._active_vcs, int.bit_count),
@@ -889,7 +934,6 @@ class Router:
         self._sa_vc_ptr = decode_dirmap(data["sa_vc_ptr"])
         self.last_local_activity = data["last_local_activity"]
         self.occupancy = data["occupancy"]
-        self.port_flits = decode_dirmap(data["port_flits"])
         self._port_routing = decode_dirmap(data["port_routing"])
         self._n_routing = data["n_routing"]
         self._esc_next = data["esc_next"]

@@ -14,8 +14,8 @@ Every stateful simulator component implements the paired methods
     The inverse, applied to a freshly constructed component of the
     same configuration.  Restoring rebuilds shared object identity
     (flits of one packet point at one ``Packet``; wired channels stay
-    aliased between neighboring routers) and re-registers non-empty
-    channels into the owning kernel's timing wheels.
+    aliased between neighboring routers) and files one entry per
+    in-flight channel item into the owning kernel's timing wheels.
 
 The module-level entry points :func:`snapshot_network` /
 :func:`restore_network` add the versioned envelope.  The golden

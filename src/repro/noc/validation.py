@@ -19,6 +19,7 @@ can cross-check the distributed state:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from ..core.power_fsm import PowerState
@@ -127,38 +128,46 @@ def derived_state_violations(net: "Network") -> list[tuple]:
     """Recount everything the kernels keep incrementally.
 
     Per router: the active flag against the network's mask bit (and
-    work implies membership in the scan), ``occupancy`` / ``port_flits``
-    against the buffers, ``_port_routing`` / ``_n_routing`` and the
-    ACTIVE masks ``_active_vcs`` / ``_active_ports`` against ``vc.state``.
-    For NoRD: the ring's busy-slot mask against its queues and the
-    drain-candidate list against a full scan over ``gated_cores``.
+    work implies membership in the scan), ``occupancy`` against the
+    buffers, ``_port_routing`` / ``_n_routing`` and the ACTIVE masks
+    ``_active_vcs`` / ``_active_ports`` against ``vc.state``.  Per
+    wheel-bound channel and arrival cycle: at least one timing-wheel
+    entry per queued item.  For NoRD: the ring's busy-slot mask against
+    its queues and the drain-candidate list against a full scan over
+    ``gated_cores``.
     """
     out: list[tuple] = []
+    entries = Counter((id(ch), cycle)
+                      for wheel in (net._flit_wheel, net._credit_wheel)
+                      for cycle, bucket in wheel.items() for ch in bucket)
     mask = net._active_mask
     for r in net.routers:
+        for d, ch in (*r.out_flit.items(), *r.out_credit.items()):
+            if ch.wheel is not None:
+                queued = Counter(arrival for arrival, _ in ch.peek_arrivals())
+                for arrival, n in queued.items():
+                    if entries[id(ch), arrival] < n:
+                        out.append(("wheel", r.node, d.name, arrival,
+                                    entries[id(ch), arrival], n))
         if r._active != bool(mask >> r.node & 1):
             out.append(("active-flag", r.node))
         if (r.occupancy or r.ni._pending) and not r._active:
             out.append(("work-but-inactive", r.node))
         n_routing = occupancy = active_ports = 0
         for d in r.ports:
-            flits = routing = active = 0
+            routing = active = 0
             for vci, vc in enumerate(r.ivc[d]):
-                flits += len(vc.buffer)
+                occupancy += len(vc.buffer)
                 if vc.state is VCState.ROUTING:
                     routing += 1
                 elif vc.state is VCState.ACTIVE:
                     active |= 1 << vci
-            if r.port_flits[d] != flits:
-                out.append(("port_flits", r.node, d.name,
-                            r.port_flits[d], flits))
             if r._port_routing[d] != routing:
                 out.append(("port_routing", r.node, d.name,
                             r._port_routing[d], routing))
             if r._active_vcs[d] != active:
                 out.append(("active_vcs", r.node, d.name,
                             r._active_vcs[d], active))
-            occupancy += flits
             n_routing += routing
             if active:
                 active_ports |= 1 << d

@@ -107,64 +107,86 @@ def test_matrix_rotation_no_starvation():
 
 # -- separable switch allocation (router level) -------------------------------
 
-class _TraversalSpy:
-    """Every switch traversal of a run, seen from the calls it makes.
+def _tails(channels) -> dict:
+    """``{direction: queue length}``: where each channel's tail is now."""
+    return {d: len(ch) for d, ch in channels.items()}
 
-    SA and ST are one method, so grants are observed at the seams a
-    traversal crosses: a flit leaving on a mesh link is a
-    ``DelayChannel.send_at`` by a powered router (gated routers forward
-    through the same call and are not grants), a flit leaving a mesh
-    *input* port returns a credit through ``send_at`` too, and a tail
-    reaching the LOCAL port is a ``NetworkInterface.eject``.  Together
-    they give, per router and cycle, every granted input port and every
-    granted output port: link outputs directly, and the LOCAL output as
-    the credit-returning grants that put no flit on a link (flits from
-    the LOCAL input never eject: ``src == dest`` loops back in the NI).
+
+def _sent_since(channels, tails) -> dict:
+    """``{direction: [items]}`` appended to each channel since ``tails``
+    (nothing pops a router's output queues while it allocates)."""
+    out = {}
+    for d, ch in channels.items():
+        items = [item for _, item in ch.peek_arrivals()][tails[d]:]
+        if items:
+            out[d] = items
+    return out
+
+
+class _TraversalSpy:
+    """Every switch traversal of a run, seen from outside the allocator.
+
+    SA and ST are one method, so each ``Router._switch_allocate`` call is
+    observed around it: the flits that left the router's input buffers
+    (granted inputs), the items that appeared at the tails of its
+    ``out_flit`` queues (granted link outputs) and ``out_credit`` queues
+    (credits returned upstream), and the ``NetworkInterface.eject`` calls
+    made meanwhile.  A flit that left an input and reached no link went
+    to the LOCAL output.
     """
 
     def __init__(self, monkeypatch):
-        from repro.noc.channel import CreditChannel, DelayChannel
-        from repro.noc.router import NetworkInterface
-        from repro.noc.types import OPPOSITE, Direction
+        from repro.noc.router import NetworkInterface, Router
+        from repro.noc.types import Direction
 
         #: (node, cycle) -> granted input ports / output ports
         self.inputs: dict[tuple[int, int], list] = {}
         self.outputs: dict[tuple[int, int], list] = {}
+        #: (node, cycle) -> {input port: (flits popped, credits returned)}
+        self.credits: dict[tuple[int, int], dict] = {}
         self.ejects: dict[tuple[int, int], int] = {}
-        send_at, eject = DelayChannel.send_at, NetworkInterface.eject
+        allocate, eject = Router._switch_allocate, NetworkInterface.eject
+        current: list = []
 
-        def spy_send(ch, item, arrival):
-            # a wired channel's sender is the sink's neighbor
-            sink, sink_dir = ch.sink, ch.sink_dir
-            sender = sink.net.routers[sink.neighbor_id(sink_dir)]
-            if sender.powered:
-                out_port = OPPOSITE[sink_dir]
-                if isinstance(ch, CreditChannel):
-                    key = (sender.node, arrival - sender._credit_delay)
-                    self.inputs.setdefault(key, []).append(out_port)
-                else:
-                    key = (sender.node, arrival - sender._link_delay)
-                    self.outputs.setdefault(key, []).append(out_port)
-                    if item.in_dir is Direction.LOCAL:
-                        self.inputs.setdefault(key, []).append(item.in_dir)
-            return send_at(ch, item, arrival)
+        def spy_allocate(router, now):
+            key = (router.node, now)
+            before = {(d, i): list(vc.buffer) for d in router.ports
+                      for i, vc in enumerate(router.ivc[d])}
+            flit_tails = _tails(router.out_flit)
+            credit_tails = _tails(router.out_credit)
+            current.append(key)
+            try:
+                allocate(router, now)
+            finally:
+                current.pop()
+            left = []
+            for (d, i), flits in before.items():
+                n = len(flits) - len(router.ivc[d][i].buffer)
+                self.inputs.setdefault(key, []).extend([d] * n)
+                left += flits[:n]
+            on_links = _sent_since(router.out_flit, flit_tails)
+            for d, flits in on_links.items():
+                self.outputs.setdefault(key, []).extend([d] * len(flits))
+            linked = {id(f) for flits in on_links.values() for f in flits}
+            self.outputs.setdefault(key, []).extend(
+                Direction.LOCAL for f in left if id(f) not in linked)
+            credits = _sent_since(router.out_credit, credit_tails)
+            self.credits[key] = {
+                d: (self.inputs[key].count(d), len(credits.get(d, ())))
+                for d in router.out_credit}
 
         def spy_eject(ni, pkt, now):
-            key = (ni.router.node, now)
-            self.ejects[key] = self.ejects.get(key, 0) + 1
+            if current:  # ejections by a traversal (not NI loopback)
+                self.ejects[current[-1]] = self.ejects.get(current[-1],
+                                                           0) + 1
             return eject(ni, pkt, now)
 
-        monkeypatch.setattr(DelayChannel, "send_at", spy_send)
+        monkeypatch.setattr(Router, "_switch_allocate", spy_allocate)
         monkeypatch.setattr(NetworkInterface, "eject", spy_eject)
 
     def local_grants(self, key) -> int:
-        """Grants into the LOCAL output: mesh-input grants (one credit
-        each) that sent nothing down a link."""
         from repro.noc.types import Direction
-        ins = self.inputs.get(key, [])
-        from_mesh = sum(1 for d in ins if d is not Direction.LOCAL)
-        to_link = len(self.outputs.get(key, [])) - (len(ins) - from_mesh)
-        return from_mesh - to_link
+        return self.outputs.get(key, []).count(Direction.LOCAL)
 
 
 @pytest.mark.parametrize("mechanism,gated", [("baseline", 0.0),
@@ -192,9 +214,14 @@ def test_sa_one_grant_per_output_and_input(monkeypatch, mechanism, gated):
     for (node, now), ins in spy.inputs.items():
         assert len(ins) == len(set(ins)), (
             f"router {node} cycle {now}: input granted twice: {ins}")
-        assert spy.local_grants((node, now)) in (0, 1), (
-            f"router {node} cycle {now}: LOCAL output granted "
-            f"{spy.local_grants((node, now))} times")
+        assert len(ins) == len(spy.outputs.get((node, now), [])), (
+            f"router {node} cycle {now}: inputs {ins} vs outputs "
+            f"{spy.outputs.get((node, now))}")
+    for (node, now), per_port in spy.credits.items():
+        for d, (popped, returned) in per_port.items():
+            assert popped == returned, (
+                f"router {node} cycle {now}: {popped} flits left input "
+                f"{d.name}, {returned} credits returned")
     for key, count in spy.ejects.items():
         # a tail ejection is one of the LOCAL-output grants of its cycle
         assert count == 1 == spy.local_grants(key), (
@@ -253,24 +280,20 @@ def test_sa_matches_reference_scan(monkeypatch, mechanism, num_vcs, gated,
                                    rate, seed):
     """Differential: in every state a run reaches, the mask-driven SA
     grants what the reference scan grants, in the same order, and leaves
-    the same round-robin pointers."""
+    the same round-robin pointers.  Link traversals are read off the
+    tail of the flit wheel's ``now + link delay`` bucket (one entry per
+    send, in send order) and the output queues; returned credits off the
+    ``out_credit`` queue tails."""
     from repro.config import NoCConfig
     from repro.gating.schedule import StaticGating
-    from repro.noc.channel import CreditChannel, DelayChannel
     from repro.noc.network import Network
     from repro.noc.router import Router
     from repro.noc.types import Direction
     from repro.traffic.generator import TrafficGenerator
     from repro.traffic.patterns import get_pattern
 
-    sends: list = []
-    send_at, allocate = DelayChannel.send_at, Router._switch_allocate
+    allocate = Router._switch_allocate
     calls = 0
-
-    def spy_send(ch, item, arrival):
-        if not isinstance(ch, CreditChannel):
-            sends.append(item)
-        return send_at(ch, item, arrival)
 
     def checked_allocate(router, now):
         nonlocal calls
@@ -282,8 +305,19 @@ def test_sa_matches_reference_scan(monkeypatch, mechanism, num_vcs, gated,
         link_bound = [fronts[g] for g in grants
                       if router.ivc[g[0]][g[1]].out_port
                       is not Direction.LOCAL]
-        del sends[:]
+        credit_bound = {d: [vci for in_dir, vci in grants if in_dir is d]
+                        for d in router.out_credit}
+        at = now + router._link_delay
+        entries = len(router.net._flit_wheel.get(at, ()))
+        flit_tails = _tails(router.out_flit)
+        credit_tails = _tails(router.out_credit)
         allocate(router, now)
+        sends = []  # link traversals, in the order they were filed
+        position = {id(ch): flit_tails[d]
+                    for d, ch in router.out_flit.items()}
+        for ch in router.net._flit_wheel.get(at, [])[entries:]:
+            sends.append(list(ch.peek_arrivals())[position[id(ch)]][1])
+            position[id(ch)] += 1
         popped = {key for key, n in before.items()
                   if len(router.ivc[key[0]][key[1]].buffer) == n - 1}
         where = f"router {router.node} cycle {now}"
@@ -291,15 +325,19 @@ def test_sa_matches_reference_scan(monkeypatch, mechanism, num_vcs, gated,
         assert all(router.ivc[d][i].front is not f
                    for (d, i), f in fronts.items()), where
         assert sends == link_bound, f"{where}: traversal order differs"
+        assert len(sends) == sum(map(len, _sent_since(
+            router.out_flit, flit_tails).values())), f"{where}: unfiled send"
+        credits = _sent_since(router.out_credit, credit_tails)
+        assert {d: credits.get(d, []) for d in router.out_credit} \
+            == credit_bound, f"{where}: credits returned differ"
         assert router._sa_in_ptr == in_ptr, f"{where}: port pointer"
         assert router._sa_vc_ptr == vc_ptr, f"{where}: VC pointers"
 
     with monkeypatch.context() as m:
-        m.setattr(DelayChannel, "send_at", spy_send)
         m.setattr(Router, "_switch_allocate", checked_allocate)
         cfg = NoCConfig(mechanism=mechanism, width=4, height=4,
                         num_vcs=num_vcs, seed=seed)
-        net = Network(cfg)
+        net = Network(cfg, kernel="active")
         net.set_gating(StaticGating(cfg.num_routers, gated, seed=seed))
         gen = TrafficGenerator(net, get_pattern("uniform", cfg), rate,
                                seed=seed)

@@ -1,10 +1,11 @@
-"""Tests for the documented-loose ``DelayChannel`` / timing-wheel invariants.
+"""Tests for the documented-loose ``DelayChannel`` / timing-wheel contract.
 
-The module docstring of ``noc/channel.py`` promises that stale wheel
-registrations (left by ``clear()`` or a manual ``receive()``) are
-re-filed or dropped by the activity-driven kernel — never an error —
-and that simulator send sites never leave a past-cycle bucket behind.
-These tests pin each of those promises down.
+The module docstring of ``noc/channel.py`` promises that every queued
+item has a wheel entry at its arrival cycle, that the activity-driven
+kernel pops one due item per entry and drops stale entries (left by
+``clear()`` or a manual ``receive()``) — never an error — and that
+simulator send sites never leave a past-cycle bucket behind.  These
+tests pin each of those promises down.
 """
 
 import pytest
@@ -45,43 +46,83 @@ def _net_with_probe(**cfg_kw):
     return net, ch, sink
 
 
-# -- basic wheel registration --------------------------------------------------
+def _entries(wheel, ch):
+    """``{cycle: entries of ch}`` over a wheel's live buckets."""
+    out = {}
+    for cycle, bucket in wheel.items():
+        n = sum(1 for c in bucket if c is ch)
+        if n:
+            out[cycle] = n
+    return out
 
-def test_send_registers_once_and_delivery_unschedules():
+
+# -- one entry per in-flight item ----------------------------------------------
+
+def test_send_files_one_entry_per_item():
     net, ch, sink = _net_with_probe()
     ch.send_at(7, arrival=3)
-    ch.send_at(8, arrival=3)  # same head: still one registration
-    assert ch.scheduled
-    assert net._credit_wheel[3] == [ch]
-    net.step(5)
-    assert sink.got == [(3, 7, 0), (3, 8, 0)]
-    assert not ch.scheduled
+    ch.send_at(8, arrival=3)  # same arrival: a second entry, same bucket
+    ch.send_at(9, arrival=4)
+    assert net._credit_wheel[3] == [ch, ch]
+    assert _entries(net._credit_wheel, ch) == {3: 2, 4: 1}
+    net.step(6)
+    assert sink.got == [(3, 7, 0), (3, 8, 0), (4, 9, 0)]
     assert len(ch) == 0
+    assert _entries(net._credit_wheel, ch) == {}
 
 
-def test_kernel_refiles_channel_at_new_head():
+def test_each_item_delivered_at_its_own_arrival():
+    """An item behind the head is delivered by its own entry, on time;
+    nothing is re-filed when the head's bucket pops."""
     net, ch, sink = _net_with_probe()
     ch.send_at(1, arrival=2)
     ch.send_at(2, arrival=6)
     net.step(3)
     assert sink.got == [(2, 1, 0)]
-    assert ch.scheduled, "channel with in-flight items must stay scheduled"
-    assert ch in net._credit_wheel[6]
+    assert _entries(net._credit_wheel, ch) == {6: 1}
     net.step(4)
     assert sink.got == [(2, 1, 0), (6, 2, 0)]
-    assert not ch.scheduled
+    assert _entries(net._credit_wheel, ch) == {}
 
 
-# -- stale registrations (clear / manual receive) ------------------------------
+def test_buckets_list_channels_in_send_order():
+    """Within a cycle, items are delivered in the order they were sent,
+    not grouped by channel."""
+    net, a, sink = _net_with_probe()
+    b = CreditChannel(latency=1)
+    b.bind(net._credit_wheel, sink, 1)
+    a.send_at("a1", arrival=3)
+    b.send_at("b1", arrival=3)
+    a.send_at("a2", arrival=3)
+    assert net._credit_wheel[3] == [a, b, a]
+    net.step(4)
+    assert sink.got == [(3, "a1", 0), (3, "b1", 1), (3, "a2", 0)]
+
+
+def test_reschedule_files_every_queued_item():
+    """Restores rebuild the wheel from queue contents: one entry per
+    queued item, at its arrival."""
+    net, ch, sink = _net_with_probe()
+    ch.send_at(1, arrival=2)
+    ch.send_at(2, arrival=2)
+    ch.send_at(3, arrival=5)
+    net._credit_wheel.clear()
+    ch.reschedule()
+    assert _entries(net._credit_wheel, ch) == {2: 2, 5: 1}
+    net.step(6)
+    assert sink.got == [(2, 1, 0), (2, 2, 0), (5, 3, 0)]
+
+
+# -- stale entries (clear / manual receive) -------------------------------------
 
 def test_clear_leaves_stale_bucket_that_kernel_drops():
     net, ch, sink = _net_with_probe()
     ch.send_at(9, arrival=2)
     ch.clear()
-    assert ch.scheduled and len(ch) == 0  # the documented stale state
-    net.step(4)  # bucket at 2 comes due: dropped without error
+    assert len(ch) == 0 and _entries(net._credit_wheel, ch) == {2: 1}
+    net.step(4)  # bucket at 2 comes due: the stale entry is dropped
     assert sink.got == []
-    assert not ch.scheduled
+    assert _entries(net._credit_wheel, ch) == {}
     # the channel is fully usable again afterwards
     ch.send_at(5, arrival=net.cycle + 2)
     net.step(3)
@@ -92,26 +133,38 @@ def test_manual_receive_leaves_stale_bucket_that_kernel_drops():
     net, ch, sink = _net_with_probe()
     ch.send_at(4, arrival=2)
     assert ch.receive(2) == [4]  # drained out-of-band
-    assert ch.scheduled and len(ch) == 0
+    assert len(ch) == 0 and _entries(net._credit_wheel, ch) == {2: 1}
     net.step(4)
     assert sink.got == []
-    assert not ch.scheduled
+    assert _entries(net._credit_wheel, ch) == {}
 
 
-def test_cleared_then_resent_channel_is_refiled_not_lost():
-    """clear() keeps ``scheduled`` set, so a later send does not
-    re-register; the kernel must re-file the old bucket entry at the new
-    (future) head instead of dropping the channel on the floor."""
+@pytest.mark.parametrize("resend_at", (2, 3, 5))
+def test_cleared_then_resent_item_delivered_once_on_time(resend_at):
+    """After clear(), an item re-sent at the stale entry's cycle, one
+    later, or further out is delivered exactly once, at its own arrival:
+    the stale entry pops nothing (its head is not due, or the item's own
+    entry already took it)."""
     net, ch, sink = _net_with_probe()
     ch.send_at(1, arrival=2)
     ch.clear()
-    ch.send_at(2, arrival=5)  # rides the stale registration
-    assert net._credit_wheel.get(5) is None
-    net.step(3)  # stale bucket at 2 pops; head (5) not due: re-filed
-    assert sink.got == []
-    assert ch.scheduled and ch in net._credit_wheel[5]
-    net.step(3)
-    assert sink.got == [(5, 2, 0)]
+    ch.send_at(2, arrival=resend_at)
+    net.step(resend_at + 2)
+    assert sink.got == [(resend_at, 2, 0)]
+    assert len(ch) == 0 and _entries(net._credit_wheel, ch) == {}
+
+
+def test_stale_entry_does_not_pop_an_item_before_its_arrival():
+    """A stale entry met while a later item is queued leaves it alone:
+    the head is not due, so it waits for its own entry."""
+    net, ch, sink = _net_with_probe()
+    ch.send_at(1, arrival=2)
+    assert ch.receive(2) == [1]
+    ch.send_at(2, arrival=4)
+    net.step(3)  # cycle 2: stale entry, head due at 4 -> dropped
+    assert sink.got == [] and len(ch) == 1
+    net.step(2)
+    assert sink.got == [(4, 2, 0)]
 
 
 # -- channel-local invariants --------------------------------------------------

@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import NoCConfig
+from repro.config import MECHANISMS, NoCConfig
 from repro.faults import (FaultInjector, FaultPlan, FaultSoakReport,
                           FaultSoakSpec, diagnose_liveness, run_fault_soak)
 from repro.harness.parallel import ParallelSweep
@@ -100,6 +100,24 @@ def test_report_ok_requires_quiescence_and_clean_invariants():
     assert not dataclasses.replace(good, quiescent=False).ok
     assert not dataclasses.replace(
         good, violations=(("credit", 0, 0),)).ok
+
+
+@pytest.mark.parametrize("mech", MECHANISMS)
+def test_kernels_agree_under_live_faults(mech):
+    """``dense`` and ``active`` produce the same soak report while every
+    fault class fires, gating epochs churn and links go down — outages
+    stall in-flight items and re-file their timing-wheel entries, a path
+    only the ``active`` kernel takes."""
+    spec = FaultSoakSpec(
+        mechanism=mech, seed=303, burst_cycles=2000, epochs=2, rate=0.15,
+        plan=FaultPlan(seed=303, hs_drop=0.2, hs_dup=0.1, hs_delay=0.2,
+                       link_kill=0.02, link_kill_duration=40,
+                       power_reset=0.01))
+    active = run_fault_soak(spec)
+    dense = run_fault_soak(dataclasses.replace(spec, kernel="dense"))
+    assert active.ok, (active.violations, active.diagnosis)
+    assert active.faults.get("link_kill"), "no outage: the check is vacuous"
+    assert dataclasses.replace(dense, spec=spec) == active
 
 
 # -- tier-2: longer randomized campaigns ---------------------------------------

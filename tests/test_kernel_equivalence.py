@@ -255,22 +255,22 @@ def test_idle_network_active_set_collapses():
 # -- timing-wheel registration invariants ------------------------------------
 
 def _flit_for(net, src, dest):
+    """A one-flit packet marked undelivered: delivery into a buffer sets
+    ``buffered_at`` to the delivery cycle (the router may eject or
+    forward the flit right after, so buffer occupancy can't be used)."""
     from repro.noc.types import make_packet
-    return make_packet(999, src, dest, 1, time=net.cycle)[0]
+    flit = make_packet(999, src, dest, 1, time=net.cycle)[0]
+    flit.buffered_at = -1
+    return flit
 
 
-def _count_deliveries(router):
-    """Wrap ``deliver_flit`` to log delivery cycles (the router may eject
-    or forward the flit immediately, so buffer occupancy can't be used)."""
-    log: list[int] = []
-    orig = router.deliver_flit
+def _delivered(flits):
+    return [f.buffered_at for f in flits if f.buffered_at >= 0]
 
-    def spy(flit, from_dir, now):
-        log.append(now)
-        return orig(flit, from_dir, now)
 
-    router.deliver_flit = spy
-    return log
+def _wheel_entries(net, ch):
+    return sorted(cycle for cycle, bucket in net._flit_wheel.items()
+                  for c in bucket if c is ch)
 
 
 def test_dense_kernel_keeps_channels_unbound():
@@ -283,35 +283,37 @@ def test_dense_kernel_keeps_channels_unbound():
     assert net._flit_wheel == {} and net._credit_wheel == {}
     for r in net.routers:
         for ch in r.out_flit.values():
-            assert ch.wheel is None and not ch.scheduled
+            assert ch.wheel is None
 
 
-def test_wheel_refiles_channel_with_later_arrivals():
-    """A popped bucket whose channel still holds future items must re-file
-    the channel at its new head arrival (and deliver on time)."""
+def test_wheel_files_every_in_flight_item():
+    """Each flit on a wire has its own wheel entry at its arrival and is
+    delivered on that cycle, whatever else the channel holds."""
     from repro.config import NoCConfig
     from repro.noc.network import Network
     from repro.noc.types import Direction
+    from repro.noc.validation import derived_state_violations
 
     net = Network(NoCConfig(mechanism="baseline"), kernel="active")
     net.step(3)  # quiesce
     ch = net.routers[0].out_flit[Direction.EAST]
-    deliveries = _count_deliveries(net.routers[1])
     now = net.cycle
-    ch.send_at(_flit_for(net, 0, 1), now + 1)
-    ch.send_at(_flit_for(net, 0, 1), now + 3)
-    assert ch.scheduled
+    flits = [_flit_for(net, 0, 1), _flit_for(net, 0, 1)]
+    ch.send_at(flits[0], now + 1)
+    ch.send_at(flits[1], now + 3)
+    assert _wheel_entries(net, ch) == [now + 1, now + 3]
+    assert not derived_state_violations(net)
     net.step(2)  # cycle now+1 delivers the first flit only
-    assert deliveries == [now + 1]
-    assert ch.scheduled and len(ch) == 1  # re-filed at now+3
+    assert _delivered(flits) == [now + 1]
+    assert len(ch) == 1 and _wheel_entries(net, ch) == [now + 3]
     net.step(2)
-    assert deliveries == [now + 1, now + 3]
-    assert not ch.scheduled
+    assert _delivered(flits) == [now + 1, now + 3]
+    assert _wheel_entries(net, ch) == []
 
 
 def test_wheel_tolerates_clear_and_manual_receive():
-    """Stale bucket entries left by clear()/receive() are dropped, and a
-    later send re-registers the channel cleanly."""
+    """Stale bucket entries left by clear()/receive() are dropped, and an
+    item sent afterwards is delivered once, on time."""
     from repro.config import NoCConfig
     from repro.noc.network import Network
     from repro.noc.types import Direction
@@ -319,19 +321,20 @@ def test_wheel_tolerates_clear_and_manual_receive():
     net = Network(NoCConfig(mechanism="baseline"), kernel="active")
     net.step(3)
     ch = net.routers[0].out_flit[Direction.EAST]
-    deliveries = _count_deliveries(net.routers[1])
-    ch.send_at(_flit_for(net, 0, 1), net.cycle + 2)
+    flits = [_flit_for(net, 0, 1) for _ in range(3)]
+    ch.send_at(flits[0], net.cycle + 2)
     ch.clear()                      # power reconfig drops the payload...
-    net.step(4)                     # ...stale registration is dropped
-    assert not ch.scheduled and deliveries == []
-    ch.send_at(_flit_for(net, 0, 1), net.cycle + 2)
+    net.step(4)                     # ...stale entry is dropped
+    assert _wheel_entries(net, ch) == [] and _delivered(flits) == []
+    ch.send_at(flits[1], net.cycle + 2)
     taken = ch.receive(net.cycle + 2)   # manual drain before the bucket
     assert len(taken) == 1
     net.step(4)
-    assert not ch.scheduled and deliveries == []
-    ch.send_at(_flit_for(net, 0, 1), net.cycle + 1)  # re-registers fine
+    assert _wheel_entries(net, ch) == [] and _delivered(flits) == []
+    due = net.cycle + 1
+    ch.send_at(flits[2], due)
     net.step(2)
-    assert len(deliveries) == 1
+    assert _delivered(flits) == [due]
 
 
 # -- change-point cursor ------------------------------------------------------
@@ -591,10 +594,13 @@ def test_retired_replica_contributes_no_wheel_work():
     for _ in range(60):
         batch.step_cycle([False, False])
     # the retired replica froze: no deliveries, cycle pinned, wheel
-    # registrations dropped (scheduled cleared, payload undelivered)
+    # entries dropped (popped with their buckets, payload undelivered)
     assert a.cycle == frozen_cycle
     assert a._flits, "retired replica's flits must never be delivered"
-    assert all(not ch.scheduled for ch in in_flight)
+    assert all(ch for ch in in_flight)
+    assert not any(ch.owner == ia for wheel in (batch._flit_wheel,
+                                                batch._credit_wheel)
+                   for bucket in wheel.values() for ch in bucket)
     # the sibling drained normally, exactly like a solo run
     assert b.network_drained() and b.stats.packets_ejected == 2
     solo = fresh(1)
