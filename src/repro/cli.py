@@ -717,7 +717,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    from .service import ServiceClient, ServiceError
+    from .service import ServiceClient
 
     try:
         with open(args.file) as fh:
@@ -725,7 +725,13 @@ def cmd_submit(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"repro submit: error: {exc}", file=sys.stderr)
         return 2
-    client = ServiceClient(args.host, args.port, timeout=args.timeout)
+    with ServiceClient(args.host, args.port, timeout=args.timeout) as client:
+        return _submit_and_wait(client, args, text)
+
+
+def _submit_and_wait(client, args: argparse.Namespace, text: str) -> int:
+    from .service import ServiceError
+
     try:
         snap = client.submit_text(text, toml=args.file.endswith(".toml"),
                                   priority=args.priority)

@@ -25,8 +25,8 @@ Endpoints
 ``GET``     ``/jobs/<id>/result``    result payload of a finished job
 ``GET``     ``/jobs/<id>/events``    ordered, complete SSE stream (status,
                                      per-cell progress, live ``metrics``
-                                     ticks); closes after the terminal
-                                     ``end`` event
+                                     ticks), chunked; ends after the
+                                     terminal ``end`` event
 ``GET``     ``/jobs/<id>/trace``     the job's distributed span trace
                                      (``?format=chrome`` for a
                                      Perfetto-loadable document)
@@ -40,6 +40,11 @@ Endpoints
                                      text exposition)
 ``GET``     ``/healthz``             liveness + queue depth
 ==========  =======================  =========================================
+
+Connections are persistent (HTTP/1.1 keep-alive): one serves requests
+in order until the client closes it, sends ``Connection: close``, or
+gets an error response.  SSE streams are chunked, so a stream's end
+does not end its connection.
 
 Results are digest-identical to ``repro spec run`` on the same spec
 file — the job payload carries the same per-cell
@@ -162,15 +167,17 @@ class _HttpError(Exception):
 class _Request:
     """One parsed HTTP request."""
 
-    __slots__ = ("method", "path", "query", "headers", "body")
+    __slots__ = ("method", "path", "query", "headers", "body", "keep_alive")
 
     def __init__(self, method: str, path: str, query: dict[str, str],
-                 headers: dict[str, str], body: bytes) -> None:
+                 headers: dict[str, str], body: bytes,
+                 keep_alive: bool) -> None:
         self.method = method
         self.path = path
         self.query = query
         self.headers = headers
         self.body = body
+        self.keep_alive = keep_alive
 
 
 class ExperimentService:
@@ -260,6 +267,8 @@ class ExperimentService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._worker_tasks: list[asyncio.Task] = []
+        #: handler task of every open connection
+        self._conns: set[asyncio.Task] = set()
         self._stop_event: asyncio.Event | None = None
         self._thread: threading.Thread | None = None
         self._start_error: BaseException | None = None
@@ -355,6 +364,14 @@ class ExperimentService:
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         if self._server is not None:
             self._server.close()
+            # From 3.12 on wait_closed() waits for open connections, an
+            # idle kept-alive one included; cancelling a handler closes
+            # its connection.  Connections accepted meanwhile loop again.
+            while self._conns:
+                conns = list(self._conns)
+                for task in conns:
+                    task.cancel()
+                await asyncio.gather(*conns, return_exceptions=True)
             await self._server.wait_closed()
         paths = self.flush_telemetry()
         if paths:
@@ -888,76 +905,105 @@ class ExperimentService:
 
     async def _read_request(self, reader: asyncio.StreamReader) \
             -> _Request | None:
+        """One request off the connection, or None at a clean EOF.
+
+        Anything that leaves the body's extent unknown raises
+        :class:`_HttpError`: on a persistent connection a mis-framed body
+        would be read as the next request.
+        """
         try:
             line = await reader.readline()
-        except (asyncio.LimitOverrunError, ValueError) as exc:
-            raise _HttpError(400, f"oversized request line: {exc}") from None
-        if not line:
-            return None
-        try:
+            if not line:
+                return None
             method, target, _version = line.decode().split(None, 2)
-        except ValueError:
-            raise _HttpError(400, "malformed request line") from None
-        headers: dict[str, str] = {}
-        while True:
-            hline = await reader.readline()
-            if hline in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = hline.decode().partition(":")
-            headers[name.strip().lower()] = value.strip()
-        path, _, qs = target.partition("?")
-        query = {k: v for k, v in parse_qsl(qs)}
-        length = int(headers.get("content-length", "0") or 0)
+            headers: dict[str, str] = {}
+            while True:
+                hline = await reader.readline()
+                if hline in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = hline.decode().partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except (asyncio.LimitOverrunError, ValueError) as exc:
+            # ValueError covers overlong lines, UnicodeDecodeError and a
+            # request line without three parts
+            raise _HttpError(400, f"malformed request head: {exc}") from None
+        if "transfer-encoding" in headers:
+            raise _HttpError(501, "Transfer-Encoding request bodies are "
+                                  "not supported; send Content-Length")
+        raw_length = headers.get("content-length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, f"bad Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > self._max_body:
             raise _HttpError(413, f"body of {length} bytes exceeds the "
                                   f"{self._max_body} byte limit")
         body = await reader.readexactly(length) if length else b""
-        return _Request(method.upper(), unquote(path), query, headers, body)
+        path, _, qs = target.partition("?")
+        query = {k: v for k, v in parse_qsl(qs)}
+        return _Request(method.upper(), unquote(path), query, headers, body,
+                        headers.get("connection", "").lower() != "close")
 
     @staticmethod
-    def _response(status: int, body: bytes, content_type: str) -> bytes:
+    def _response(status: int, body: bytes, content_type: str,
+                  keep_alive: bool) -> bytes:
         reason = _REASONS.get(status, "Unknown")
         head = (f"HTTP/1.1 {status} {reason}\r\n"
                 f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n")
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                f"\r\n\r\n")
         return head.encode() + body
 
     @classmethod
-    def _json_response(cls, status: int, obj: Any) -> bytes:
+    def _json_response(cls, status: int, obj: Any,
+                       keep_alive: bool) -> bytes:
         body = (json.dumps(obj, indent=2) + "\n").encode()
-        return cls._response(status, body, "application/json")
+        return cls._response(status, body, "application/json", keep_alive)
 
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
+        """Serve requests in order until EOF, ``Connection: close`` or
+        an error response."""
+        task = asyncio.current_task()
+        self._conns.add(task)
         try:
-            try:
+            while True:
                 req = await self._read_request(reader)
                 if req is None:
                     return
                 await self._dispatch(req, writer)
-            except _HttpError as exc:
-                writer.write(self._json_response(exc.status,
-                                                 {"error": exc.message}))
+                if not req.keep_alive:
+                    return
+        except _HttpError as exc:
+            with contextlib.suppress(ConnectionError):
+                writer.write(self._json_response(
+                    exc.status, {"error": exc.message}, keep_alive=False))
                 await writer.drain()
-            except (asyncio.IncompleteReadError, ConnectionError):
-                pass  # client went away mid-request
-            except Exception as exc:  # never let one connection kill us
-                with contextlib.suppress(Exception):
-                    writer.write(self._json_response(
-                        500, {"error": f"{type(exc).__name__}: {exc}"}))
-                    await writer.drain()
-        finally:
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # client went away mid-request
+        except asyncio.CancelledError:
+            # Only _shutdown cancels a handler, and it awaits this task.
+            # Ending normally keeps 3.11's StreamReaderProtocol from
+            # logging the cancelled task as an error.
+            pass
+        except Exception as exc:  # never let one connection kill us
             with contextlib.suppress(Exception):
+                writer.write(self._json_response(
+                    500, {"error": f"{type(exc).__name__}: {exc}"},
+                    keep_alive=False))
+                await writer.drain()
+        finally:
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
+            self._conns.discard(task)
 
     async def _dispatch(self, req: _Request,
                         writer: asyncio.StreamWriter) -> None:
         segs = [s for s in req.path.split("/") if s]
 
         async def send_json(status: int, obj: Any) -> None:
-            writer.write(self._json_response(status, obj))
+            writer.write(self._json_response(status, obj, req.keep_alive))
             await writer.drain()
 
         if not segs:
@@ -978,7 +1024,7 @@ class ExperimentService:
             if req.method != "GET":
                 raise _HttpError(405, "metrics is GET-only")
             body, ctype = self._metrics_body(req.query.get("format"))
-            writer.write(self._response(200, body, ctype))
+            writer.write(self._response(200, body, ctype, req.keep_alive))
             await writer.drain()
             return
         if segs[0] != "jobs":
@@ -1019,7 +1065,7 @@ class ExperimentService:
             await send_json(status, obj)
             return
         if len(segs) == 3 and segs[2] == "events" and req.method == "GET":
-            await self._stream_events(job, writer)
+            await self._stream_events(job, writer, req.keep_alive)
             return
         if len(segs) == 3 and segs[2] == "trace" and req.method == "GET":
             await send_json(200, self._trace_payload(
@@ -1027,31 +1073,40 @@ class ExperimentService:
             return
         raise _HttpError(404, f"no such endpoint: {req.path}")
 
-    async def _stream_events(self, job: Job,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _stream_events(self, job: Job, writer: asyncio.StreamWriter,
+                             keep_alive: bool) -> None:
         """Replay the job's full event history, then go live until the
-        terminal ``end`` event — ordered and complete by construction."""
+        terminal ``end`` event — ordered and complete by construction.
+
+        One chunk per event; the zero chunk after ``end`` ends the
+        response but not the connection.
+        """
         head = ("HTTP/1.1 200 OK\r\n"
                 "Content-Type: text/event-stream\r\n"
                 "Cache-Control: no-cache\r\n"
-                "Connection: close\r\n\r\n")
+                "Transfer-Encoding: chunked\r\n"
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                "\r\n\r\n")
         writer.write(head.encode())
+
+        def send(entry: dict) -> bool:
+            data = encode_event(entry["id"], entry["event"], entry["data"])
+            writer.write(b"%x\r\n%s\r\n" % (len(data), data))
+            return entry["event"] == "end"
+
         q: asyncio.Queue = asyncio.Queue()
         job.subscribers.append(q)
         backlog = list(job.events)  # no await since subscribe: atomic
         try:
             ended = False
             for entry in backlog:
-                writer.write(encode_event(entry["id"], entry["event"],
-                                          entry["data"]))
-                ended = ended or entry["event"] == "end"
+                ended = send(entry) or ended
             await writer.drain()
             while not ended:
-                entry = await q.get()
-                writer.write(encode_event(entry["id"], entry["event"],
-                                          entry["data"]))
+                ended = send(await q.get())
                 await writer.drain()
-                ended = entry["event"] == "end"
+            writer.write(b"0\r\n\r\n")
+            await writer.drain()
         finally:
             if q in job.subscribers:
                 job.subscribers.remove(q)

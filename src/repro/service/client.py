@@ -5,12 +5,20 @@ A thin ``http.client`` wrapper (stdlib only, like the server) used by
 maps 1:1 onto a service endpoint; non-2xx responses raise
 :class:`ServiceError` carrying the status code and the server's
 ``error`` message.
+
+Each calling thread keeps one persistent connection, so a job's submit,
+event stream and result cost one TCP handshake between them;
+:meth:`ServiceClient.close` (or leaving a ``with`` block) closes them.
+A request on a *reused* connection that fails before any response byte
+(the server closed it while idle, e.g. across a restart) is retried
+once on a fresh connection; a fresh connection never retries.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Any, Iterator
 
@@ -36,34 +44,81 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        #: thread id -> that thread's idle connection.  A connection in
+        #: use is out of the map, so no two threads ever share one.
+        self._idle: dict[int, http.client.HTTPConnection] = {}
+
+    def close(self) -> None:
+        """Close every idle connection; a later call opens a fresh one.
+
+        Call it once the threads using the client are done with it.
+        """
+        while self._idle:
+            self._idle.popitem()[1].close()
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- plumbing ------------------------------------------------------------
+
+    def _send(self, method: str, path: str, body: bytes | None = None,
+              headers: dict[str, str] | None = None
+              ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Send one request on this thread's connection, which is taken
+        out of the idle map until :meth:`_release` puts it back."""
+        conn = self._idle.pop(threading.get_ident(), None)
+        if conn is None:
+            conn = http.client.HTTPConnection(self.host, self.port,
+                                              timeout=self.timeout)
+        reused = conn.sock is not None
+        while True:
+            try:
+                conn.request(method, path, body=body, headers=headers or {})
+                return conn, conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected (no status line) is a reset too
+                conn.close()
+                if not reused:
+                    raise
+                reused = False  # the closed connection reopens on request
+            except BaseException:
+                conn.close()
+                raise
+
+    def _release(self, conn: http.client.HTTPConnection) -> None:
+        """Return a connection whose response was read to the end."""
+        if self._idle.setdefault(threading.get_ident(), conn) is not conn:
+            conn.close()  # a call made while it was out opened its own
+
+    @staticmethod
+    def _error(status: int, raw: bytes) -> ServiceError:
+        text = raw.decode()
+        try:
+            message = json.loads(text).get("error", text)
+        except (ValueError, AttributeError):
+            message = text
+        return ServiceError(status, message)
 
     def _request(self, method: str, path: str,
                  body: bytes | None = None,
                  content_type: str | None = None) -> Any:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        headers = {} if content_type is None else {
+            "Content-Type": content_type}
+        conn, resp = self._send(method, path, body, headers)
         try:
-            headers = {}
-            if content_type is not None:
-                headers["Content-Type"] = content_type
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
             raw = resp.read()
-            ctype = resp.headers.get("Content-Type", "")
-            payload: Any
-            if "json" in ctype:
-                payload = json.loads(raw.decode())
-            else:
-                payload = raw.decode()
-            if resp.status >= 400:
-                message = payload.get("error", str(payload)) \
-                    if isinstance(payload, dict) else str(payload)
-                raise ServiceError(resp.status, message)
-            return payload
-        finally:
+        except BaseException:
             conn.close()
+            raise
+        self._release(conn)
+        if resp.status >= 400:
+            raise self._error(resp.status, raw)
+        if "json" in resp.headers.get("Content-Type", ""):
+            return json.loads(raw.decode())
+        return raw.decode()
 
     # -- endpoints -----------------------------------------------------------
 
@@ -148,21 +203,20 @@ class ServiceClient:
     def events(self, job_id: str) -> Iterator[dict]:
         """Stream the job's SSE events as decoded dicts.
 
-        Blocks until the server closes the stream after the terminal
-        ``end`` event; yields every event in order from id 0.
+        Yields every event in order from id 0 and returns after the
+        terminal ``end`` event, when the server ends the chunked
+        response.  The stream has this thread's connection to itself: a
+        call made inside the loop opens its own.  The connection goes
+        back for reuse once the stream is read to its end; stopping
+        early closes it.  A stream cut off before its end raises
+        :class:`http.client.IncompleteRead`.
         """
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        conn, resp = self._send("GET", f"/jobs/{job_id}/events")
         try:
-            conn.request("GET", f"/jobs/{job_id}/events")
-            resp = conn.getresponse()
             if resp.status >= 400:
-                raw = resp.read().decode()
-                try:
-                    message = json.loads(raw).get("error", raw)
-                except ValueError:
-                    message = raw
-                raise ServiceError(resp.status, message)
+                raise self._error(resp.status, resp.read())
             yield from decode_stream(iter(resp.readline, b""))
-        finally:
+        except BaseException:
             conn.close()
+            raise
+        self._release(conn)

@@ -13,14 +13,21 @@ smoke job use.  The anchor properties:
   terminate after the ``end`` event;
 * malformed specs are rejected with 422 and the :class:`SpecError`
   message;
-* cancelling queued and running jobs leaves the store consistent.
+* cancelling queued and running jobs leaves the store consistent;
+* connections persist: one client thread's job travels over one
+  connection, SSE streams are chunked, and shutdown closes idle
+  connections instead of waiting for them.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import socket
+import sys
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -70,18 +77,31 @@ class SlowSerial(SerialExecutor):
 @pytest.fixture
 def service(tmp_path):
     """Factory fixture: boot services with isolated caches, stop them."""
-    started = []
+    started, clients = [], []
 
-    def boot(**kw) -> tuple[ExperimentService, ServiceClient]:
+    def boot(conns: list | None = None,
+             **kw) -> tuple[ExperimentService, ServiceClient]:
+        """``conns``, when given, receives one entry per accepted
+        connection."""
         kw.setdefault("executor", "serial")
         kw.setdefault("workers", 2)
         kw.setdefault("cache", ResultCache(tmp_path / "cache"))
         svc = ExperimentService(**kw)
+        if conns is not None:
+            handle = svc._handle_conn
+
+            async def counted(reader, writer):
+                conns.append(writer.get_extra_info("peername"))
+                await handle(reader, writer)
+            svc._handle_conn = counted
         port = svc.start()
         started.append(svc)
-        return svc, ServiceClient(port=port)
+        clients.append(ServiceClient(port=port))
+        return svc, clients[-1]
 
     yield boot
+    for client in clients:
+        client.close()
     for svc in started:
         svc.stop()
 
@@ -339,3 +359,194 @@ def test_cli_submit_roundtrip(service, tmp_path, capsys):
     bad.write_text(json.dumps(cell(mechanism="nope")))
     assert main(["submit", str(bad), "--port", str(client.port)]) == 2
     assert "unknown mechanism" in capsys.readouterr().err
+
+
+# -- persistent connections ---------------------------------------------------
+
+
+def raw_socket(port: int) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", port), timeout=10.0)
+
+
+def read_response(f) -> tuple[int, dict[str, str], bytes]:
+    """One response off a socket file: status, headers and body (a
+    chunked body is returned with its framing)."""
+    status = int(f.readline().split()[1])
+    headers = {}
+    while (line := f.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if headers.get("transfer-encoding") != "chunked":
+        return status, headers, f.read(int(headers["content-length"]))
+    body = b""
+    while True:
+        size_line = f.readline()
+        size = int(size_line, 16)
+        body += size_line + f.read(size + 2)
+        if not size:
+            return status, headers, body
+
+
+def test_one_connection_carries_a_whole_job(service):
+    conns: list = []
+    _, client = service(conns=conns)
+    snap = client.submit(FAST)
+    events = list(client.events(snap["id"]))
+    assert events[-1]["event"] == "end"
+    assert client.result(snap["id"])["digest"] == events[-1]["data"]["digest"]
+    assert client.metric("service.jobs.completed") == 1
+    assert len(conns) == 1
+    client.close()
+    assert client.health()["status"] == "ok"
+    assert len(conns) == 2
+
+
+def test_threads_sharing_a_client_never_share_a_connection(service):
+    conns: list = []
+    _, client = service(conns=conns)
+    threads, calls = 8, 40
+    barrier = threading.Barrier(threads)
+    errors: list = []
+
+    def hammer() -> None:
+        try:
+            barrier.wait(10.0)
+            for _ in range(calls):
+                assert client.health()["status"] == "ok"
+            barrier.wait(10.0)  # every thread alive: no thread id reused
+        except Exception as exc:
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=hammer) for _ in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in pool)
+    assert errors == []
+    assert len(conns) == threads
+
+
+def test_connection_close_is_honoured(service):
+    _, client = service()
+    with closing(raw_socket(client.port)) as sock:
+        f = sock.makefile("rb")
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                     b"Connection: close\r\n\r\n")
+        status, headers, body = read_response(f)
+        assert status == 200 and json.loads(body)["status"] == "ok"
+        assert headers["connection"] == "close"
+        assert f.read() == b""  # the server closed its end
+
+
+def test_pipelined_requests_are_answered_in_order(service):
+    _, client = service()
+    with closing(raw_socket(client.port)) as sock:
+        f = sock.makefile("rb")
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                     b"GET /jobs HTTP/1.1\r\nHost: x\r\n\r\n")
+        first, second = read_response(f), read_response(f)
+    assert first[0] == second[0] == 200
+    assert first[1]["connection"] == "keep-alive"
+    assert json.loads(first[2])["status"] == "ok"
+    assert json.loads(second[2]) == {"jobs": []}
+
+
+def test_sse_body_is_chunked_and_keeps_the_connection(service):
+    _, client = service()
+    job_id = client.submit(FAST)["id"]
+    client.wait(job_id)
+    with closing(raw_socket(client.port)) as sock:
+        f = sock.makefile("rb")
+        sock.sendall(f"GET /jobs/{job_id}/events HTTP/1.1\r\n"
+                     f"Host: x\r\n\r\n".encode())
+        status, headers, body = read_response(f)
+        assert status == 200
+        assert headers["transfer-encoding"] == "chunked"
+        assert body.endswith(b"\r\n0\r\n\r\n")
+        assert b"event: end" in body
+        # the stream's end left the connection open for the next request
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert read_response(f)[0] == 200
+
+
+def test_break_out_of_events_then_poll(service):
+    gate = threading.Event()
+    conns: list = []
+    _, client = service(conns=conns,
+                        executor=lambda: SlowSerial(gate=gate), workers=1)
+    snap = client.submit(FAST)
+    for event in client.events(snap["id"]):
+        assert event["event"] == "status"
+        break  # mid-stream: the job is still waiting on the gate
+    assert client.job(snap["id"])["status"] in ("queued", "running")
+    gate.set()
+    assert client.wait(snap["id"])["status"] == DONE
+    # the abandoned stream's connection was closed, not reused
+    assert len(conns) == 2
+
+
+def test_call_inside_events_loop_uses_its_own_connection(service):
+    conns: list = []
+    _, client = service(conns=conns,
+                        executor=lambda: SlowSerial(delay=0.05), workers=1)
+    snap = client.submit(FAST_SWEEP)
+    polled = []
+    for event in client.events(snap["id"]):
+        polled.append(client.job(snap["id"])["status"])
+    assert event["event"] == "end" and polled[-1] == DONE
+    assert client.result(snap["id"])["kind"] == "sweep"
+    # the stream's own plus the one its loop opened, kept for result()
+    assert len(conns) == 2
+
+
+def test_client_reconnects_after_service_restart(service):
+    svc, client = service()
+    assert client.health()["status"] == "ok"
+    port = client.port
+    svc.stop()
+    with pytest.raises(ConnectionRefusedError):
+        client.health()  # reused, reset, retried once on a fresh one
+    conns: list = []
+    service(conns=conns, port=port)
+    client.health()
+    assert client.health()["status"] == "ok"
+    assert len(conns) == 1
+
+
+@pytest.mark.parametrize("request_head,status", [
+    (b"GET /healthz HTTP/1.1\r\nX-Note: \xff\xfe\r\n\r\n", 400),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+    (b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"2\r\n{}\r\n0\r\n\r\n", 501),
+], ids=["non-utf8-header", "length-not-a-number", "negative-length",
+        "transfer-encoding"])
+def test_request_framing_errors_close_the_connection(service, request_head,
+                                                     status):
+    _, client = service()
+    with closing(raw_socket(client.port)) as sock:
+        f = sock.makefile("rb")
+        sock.sendall(request_head)
+        got, headers, body = read_response(f)
+        assert (got, headers["connection"]) == (status, "close")
+        assert json.loads(body)["error"]
+        assert f.read() == b""
+    assert client.health()["status"] == "ok"
+
+
+def test_stop_closes_idle_kept_alive_connections(service, caplog):
+    svc, client = service()
+    client.wait(client.submit(FAST)["id"])
+    assert client.health()["status"] == "ok"  # the connection stays idle
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        t0 = time.monotonic()
+        svc.stop()
+        elapsed = time.monotonic() - t0
+    assert elapsed < 2.0
+    assert [r for r in caplog.records if r.name == "asyncio"] == []

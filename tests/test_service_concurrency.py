@@ -67,7 +67,7 @@ class SlowSerial(SerialExecutor):
 
 @pytest.fixture
 def service(tmp_path):
-    started = []
+    started, clients = [], []
 
     def boot(**kw) -> tuple[ExperimentService, ServiceClient]:
         kw.setdefault("executor", "serial")
@@ -76,9 +76,12 @@ def service(tmp_path):
         svc = ExperimentService(**kw)
         port = svc.start()
         started.append(svc)
-        return svc, ServiceClient(port=port)
+        clients.append(ServiceClient(port=port))
+        return svc, clients[-1]
 
     yield boot
+    for client in clients:
+        client.close()
     for svc in started:
         svc.stop()
 

@@ -51,7 +51,7 @@ HEAVY = {"mechanism": "gflov", "pattern": "uniform", "rate": 0.05,
 
 @pytest.fixture
 def service(tmp_path):
-    started = []
+    started, clients = [], []
 
     def boot(**kw) -> tuple[ExperimentService, ServiceClient]:
         kw.setdefault("executor", "serial")
@@ -60,9 +60,12 @@ def service(tmp_path):
         svc = ExperimentService(**kw)
         port = svc.start()
         started.append(svc)
-        return svc, ServiceClient(port=port)
+        clients.append(ServiceClient(port=port))
+        return svc, clients[-1]
 
     yield boot
+    for client in clients:
+        client.close()
     for svc in started:
         svc.stop()
 
