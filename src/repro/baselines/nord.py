@@ -65,10 +65,6 @@ class BypassRing:
         self.packets_carried = 0
         self.hops_total = 0
 
-    def distance(self, src: int, dest: int) -> int:
-        n = len(self.order)
-        return (self.pos[dest] - self.pos[src]) % n
-
     def insert(self, pkt: Packet, at_node: int, now: int) -> None:
         self.packets_carried += 1
         if pkt.inject_time < 0:

@@ -17,8 +17,7 @@ State machine::
   transmissions through it, latches drain, then the 10-cycle power-on.
 
 The FSM itself lives in :class:`repro.core.handshake.HandshakeController`;
-this module defines the states and the predicates shared by the router,
-the routing functions, and the controllers.
+this module defines the states and the two state classes they fall into.
 """
 
 from __future__ import annotations
@@ -38,14 +37,3 @@ POWERED_STATES = frozenset({PowerState.ACTIVE, PowerState.DRAINING})
 
 #: States in which the FLOV latch datapath forwards flits.
 FLOV_STATES = frozenset({PowerState.SLEEP, PowerState.WAKEUP})
-
-
-def is_powered(state: PowerState) -> bool:
-    """True when the baseline router portion is powered on."""
-    return state in POWERED_STATES
-
-
-def blocks_new_packets(state: PowerState) -> bool:
-    """True when neighbors must not initiate new packets toward/through
-    a router in this state (paper SS IV-A/IV-B)."""
-    return state in (PowerState.DRAINING, PowerState.WAKEUP)

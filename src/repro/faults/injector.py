@@ -125,11 +125,6 @@ class FaultPlan:
                 f"unfaultable message kinds {sorted(unknown)}; "
                 f"choose from {sorted(FAULTABLE_KINDS)}")
 
-    def any_faults(self) -> bool:
-        return bool(self.hs_drop or self.hs_dup or self.hs_delay
-                    or self.link_kill or self.power_reset)
-
-
 @dataclass
 class _DeadLink:
     """One directed link outage: the flit channel and its credit return."""

@@ -62,7 +62,7 @@ the cycle), so they read like any other trace in ``repro analyze``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs.events import TraceEvent
 

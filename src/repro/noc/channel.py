@@ -1,4 +1,4 @@
-"""Channels: pipelined flit links, credit return wires, control wires.
+"""Channels: pipelined flit links and credit return wires.
 
 Channels are simple time-stamped queues. A sender places an item with an
 explicit arrival cycle; the receiver drains all items whose arrival cycle
@@ -159,11 +159,5 @@ class DelayChannel(Generic[T]):
 
 class CreditChannel(DelayChannel[int]):
     """Credit return wire. Items are global VC indices being credited."""
-
-    __slots__ = ()
-
-
-class ControlChannel(DelayChannel["object"]):
-    """Out-of-band handshake wire between adjacent routers (1 cycle)."""
 
     __slots__ = ()

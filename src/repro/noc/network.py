@@ -234,9 +234,6 @@ class Network:
                 nb.in_credit[od] = cr_rev
                 cr_rev.bind(cw, nb, od)
 
-    def router_at(self, x: int, y: int) -> Router:
-        return self.routers[self.cfg.node_id(x, y)]
-
     # -- observability (opt-in; see repro.obs) --------------------------------
 
     def attach_tracer(self, tracer) -> None:

@@ -143,12 +143,6 @@ class StatsCollector:
             return 0.0
         return self.network_latency_sum / self.measured_packets
 
-    @property
-    def avg_hops(self) -> float:
-        if not self.measured_packets:
-            return 0.0
-        return self.router_hops_sum / self.measured_packets
-
     def throughput(self, cycles: int, nodes: int) -> float:
         """Accepted traffic in flits/cycle/node over ``cycles``."""
         if cycles <= 0 or nodes <= 0:

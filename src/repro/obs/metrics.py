@@ -105,23 +105,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Approximate q-quantile: the upper bound of the bucket holding
-        the q-th observation (conservative; exact for bucket edges)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if not self.count:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= target and c:
-                return (self.bounds[i] if i < len(self.bounds)
-                        else self.max)
-        return self.max
-
-
 class MetricsRegistry:
     """Named instruments plus a sampled time series of their scalars.
 

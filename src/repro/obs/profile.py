@@ -83,11 +83,6 @@ class KernelProfiler:
         return (self.t_handshake + self.t_delivery
                 + self.t_evaluate + self.t_sampler)
 
-    def per_cycle_ns(self) -> dict[str, float]:
-        """Average nanoseconds per cycle per phase."""
-        c = self.cycles or 1
-        return {name: ns / c for name, ns in self.phase_ns().items()}
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "cycles": self.cycles,

@@ -99,18 +99,6 @@ class SpanContext:
         return cls(trace_id=data["trace_id"], span_id=data["span_id"],
                    parent_id=data.get("parent_id"))
 
-    def to_header(self) -> str:
-        """W3C-traceparent-shaped header value (``00-trace-span-01``)."""
-        return f"00-{self.trace_id}-{self.span_id}-01"
-
-    @classmethod
-    def from_header(cls, value: str) -> "SpanContext":
-        """Parse :meth:`to_header` output (parent becomes the span id)."""
-        parts = value.strip().split("-")
-        if len(parts) != 4 or not parts[1] or not parts[2]:
-            raise ValueError(f"malformed trace header {value!r}")
-        return cls(trace_id=parts[1], span_id=parts[2])
-
     @classmethod
     def new_root(cls) -> "SpanContext":
         return cls(trace_id=_new_trace_id(), span_id=_new_span_id())

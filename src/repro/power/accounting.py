@@ -85,30 +85,13 @@ class EnergyAccountant:
 
     # -- dynamic events ----------------------------------------------------------
 
-    def on_buffer_write(self) -> None:
-        self.buffer_writes += 1
-
-    def on_buffer_read(self) -> None:
-        self.buffer_reads += 1
-
-    def on_xbar(self) -> None:
-        self.xbar_traversals += 1
-
-    def on_arbitration(self) -> None:
-        self.arbitrations += 1
-
-    def on_link_traversal(self) -> None:
-        self.link_traversals += 1
-
-    def on_flov_latch(self) -> None:
-        self.flov_latches += 1
-
     def on_credit_relay(self) -> None:
         self.credit_relays += 1
 
-    # The per-flit datapath (``Router._switch_allocate``'s traversal and
-    # ``Router.deliver_flit``'s buffer write) bumps buffer_reads /
-    # xbar_traversals / link_traversals / buffer_writes directly.
+    # The per-flit datapath (``Router._switch_allocate``'s traversal,
+    # ``Router.deliver_flit``'s and the NI's buffer writes) and the VC
+    # allocator bump buffer_reads / xbar_traversals / link_traversals /
+    # buffer_writes / arbitrations directly.
 
     def on_flov_hop(self, flits: int = 1) -> None:
         """``flits`` fly-over latch-and-forward hops (a whole packet on

@@ -48,7 +48,7 @@ expected to call ``register`` on the registries it extends::
             ...
         return pattern
 
-    $ REPRO_PLUGINS=my_patterns repro synthetic --pattern diagonal
+    $ REPRO_PLUGINS=my_patterns repro run --pattern diagonal
 
 See ``docs/specs.md`` for a worked example.
 """

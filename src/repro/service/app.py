@@ -971,7 +971,7 @@ class ExperimentService:
                 req = await self._read_request(reader)
                 if req is None:
                     return
-                await self._dispatch(req, writer)
+                await self._dispatch(req, reader, writer)
                 if not req.keep_alive:
                     return
         except _HttpError as exc:
@@ -998,7 +998,7 @@ class ExperimentService:
                 await writer.wait_closed()
             self._conns.discard(task)
 
-    async def _dispatch(self, req: _Request,
+    async def _dispatch(self, req: _Request, reader: asyncio.StreamReader,
                         writer: asyncio.StreamWriter) -> None:
         segs = [s for s in req.path.split("/") if s]
 
@@ -1065,7 +1065,7 @@ class ExperimentService:
             await send_json(status, obj)
             return
         if len(segs) == 3 and segs[2] == "events" and req.method == "GET":
-            await self._stream_events(job, writer, req.keep_alive)
+            await self._stream_events(job, req, reader, writer)
             return
         if len(segs) == 3 and segs[2] == "trace" and req.method == "GET":
             await send_json(200, self._trace_payload(
@@ -1073,19 +1073,23 @@ class ExperimentService:
             return
         raise _HttpError(404, f"no such endpoint: {req.path}")
 
-    async def _stream_events(self, job: Job, writer: asyncio.StreamWriter,
-                             keep_alive: bool) -> None:
+    async def _stream_events(self, job: Job, req: _Request,
+                             reader: asyncio.StreamReader,
+                             writer: asyncio.StreamWriter) -> None:
         """Replay the job's full event history, then go live until the
         terminal ``end`` event — ordered and complete by construction.
 
         One chunk per event; the zero chunk after ``end`` ends the
-        response but not the connection.
+        response but not the connection.  While live, one watcher reads
+        the connection: at EOF (the client left) the stream stops at
+        once; bytes sent before the end are never parsed as a request,
+        so the connection closes after the stream (``req.keep_alive``).
         """
         head = ("HTTP/1.1 200 OK\r\n"
                 "Content-Type: text/event-stream\r\n"
                 "Cache-Control: no-cache\r\n"
                 "Transfer-Encoding: chunked\r\n"
-                f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                f"Connection: {'keep-alive' if req.keep_alive else 'close'}"
                 "\r\n\r\n")
         writer.write(head.encode())
 
@@ -1094,19 +1098,39 @@ class ExperimentService:
             writer.write(b"%x\r\n%s\r\n" % (len(data), data))
             return entry["event"] == "end"
 
+        async def watch() -> None:
+            try:
+                while await reader.read(4096):
+                    req.keep_alive = False  # discarded, never parsed
+            except OSError:  # a reset or timed-out connection: gone too
+                pass
+            q.put_nowait(None)  # EOF: wake the parked stream
+
         q: asyncio.Queue = asyncio.Queue()
         job.subscribers.append(q)
         backlog = list(job.events)  # no await since subscribe: atomic
+        watcher = None
         try:
             ended = False
             for entry in backlog:
                 ended = send(entry) or ended
             await writer.drain()
+            if not ended:
+                watcher = asyncio.ensure_future(watch())
             while not ended:
-                ended = send(await q.get())
+                entry = await q.get()
+                if entry is None:
+                    req.keep_alive = False
+                    return
+                ended = send(entry)
                 await writer.drain()
             writer.write(b"0\r\n\r\n")
             await writer.drain()
         finally:
             if q in job.subscribers:
                 job.subscribers.remove(q)
+            if watcher is not None:
+                # a cancelled read consumes nothing, and awaiting the
+                # cancellation frees the reader for the next request
+                watcher.cancel()
+                await asyncio.wait((watcher,))

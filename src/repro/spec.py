@@ -45,7 +45,7 @@ from . import registry
 from .config import NoCConfig
 
 __all__ = ["ExperimentSpec", "SweepSpec", "SpecError", "JobEnvelope",
-           "load_spec_file", "parse_spec_payload"]
+           "load_spec_file"]
 
 #: keys accepted in the ``workload_args`` mapping (full-system runs)
 WORKLOAD_ARG_KEYS = ("instructions", "max_cycles", "warmup")
@@ -425,6 +425,15 @@ def _parse_spec_text(text: str, *, toml: bool) -> Any:
         raise SpecError(f"invalid JSON: {exc}") from None
 
 
+def _spec_from_mapping(data: Mapping[str, Any]) -> "ExperimentSpec | SweepSpec":
+    """Mapping -> spec, using the ``mechanisms``-plural dispatch rule."""
+    _require(isinstance(data, Mapping),
+             f"spec must be a mapping, got {type(data).__name__}")
+    if "mechanisms" in data:
+        return SweepSpec.from_dict(data)
+    return ExperimentSpec.from_dict(data)
+
+
 def load_spec_file(path: str) -> "ExperimentSpec | SweepSpec":
     """Parse a JSON/TOML spec file into a validated spec object.
 
@@ -440,9 +449,7 @@ def load_spec_file(path: str) -> "ExperimentSpec | SweepSpec":
     data = _parse_spec_text(text, toml=path.endswith(".toml"))
     _require(isinstance(data, Mapping),
              f"spec file {path!r} must contain a mapping at the top level")
-    if "mechanisms" in data:
-        return SweepSpec.from_dict(data)
-    return ExperimentSpec.from_dict(data)
+    return _spec_from_mapping(data)
 
 
 # ``ExperimentSpec.from_file`` / ``SweepSpec.from_file`` aliases: load a
@@ -460,23 +467,6 @@ SweepSpec.from_file = classmethod(_from_file)  # type: ignore[attr-defined]
 
 
 # -- job envelopes (experiment service) ---------------------------------------
-
-def _spec_from_mapping(data: Mapping[str, Any]) -> "ExperimentSpec | SweepSpec":
-    """Mapping -> spec, using the ``mechanisms``-plural dispatch rule."""
-    _require(isinstance(data, Mapping),
-             f"spec must be a mapping, got {type(data).__name__}")
-    if "mechanisms" in data:
-        return SweepSpec.from_dict(data)
-    return ExperimentSpec.from_dict(data)
-
-
-def parse_spec_payload(text: str, *,
-                       toml: bool = False) -> "ExperimentSpec | SweepSpec":
-    """Parse raw JSON/TOML *text* (an HTTP body, a file's contents) into
-    a validated spec — same dispatch rule as :func:`load_spec_file`."""
-    data = _parse_spec_text(text, toml=toml)
-    return _spec_from_mapping(data)
-
 
 @dataclass(frozen=True)
 class JobEnvelope:

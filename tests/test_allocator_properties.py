@@ -1,108 +1,19 @@
-"""Property tests for ``repro.noc.allocators`` and the router's
-separable switch allocation.
+"""Property tests for the router's VC and switch allocation.
 
-* ``RoundRobinArbiter`` never grants a non-requesting line, rotates
-  priority after a grant, and starves no persistent requester over a
-  randomized request schedule.
-* ``MatrixArbiter`` grants only actual requesters and rotates.
+* The router's VC allocator grants exactly what a reference scan kept
+  here grants: requesters for an output in rotated order from
+  ``_va_ptr``, each taking its first free allowed VC, the pointer moving
+  one past the first winner.  So it grants only requesters, never gives
+  an output VC two owners, and rotates.
 * The router's separable SA never grants two inputs to one output (and
   never two grants to one input) in any cycle of a randomized run, and
   its mask/table-driven scan grants exactly what a full nested rotated
   scan kept here as the reference grants.
 """
 
-import random
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-
-from repro.noc.allocators import MatrixArbiter, RoundRobinArbiter
-
-STEPS = 400
-
-
-# -- RoundRobinArbiter --------------------------------------------------------
-
-def test_rr_grant_subset_of_requests():
-    rng = random.Random(11)
-    arb = RoundRobinArbiter(5)
-    for _ in range(STEPS):
-        reqs = [rng.random() < 0.4 for _ in range(5)]
-        g = arb.grant(reqs)
-        if g == -1:
-            assert not any(reqs)
-        else:
-            assert reqs[g], "granted a non-requesting line"
-
-
-def test_rr_rotates_priority_after_grant():
-    arb = RoundRobinArbiter(4)
-    # everyone requests forever: grants must cycle 0,1,2,3,0,1,...
-    grants = [arb.grant([True] * 4) for _ in range(8)]
-    assert grants == [0, 1, 2, 3, 0, 1, 2, 3]
-
-
-def test_rr_winner_loses_priority():
-    arb = RoundRobinArbiter(3)
-    assert arb.grant([True, False, True]) == 0
-    # line 0 requests again, but 2 now outranks it
-    assert arb.grant([True, False, True]) == 2
-    assert arb.grant([True, False, True]) == 0
-
-
-def test_rr_no_starvation_random_schedule():
-    """A persistent requester is granted within ``size`` grant rounds."""
-    rng = random.Random(5)
-    size = 6
-    arb = RoundRobinArbiter(size)
-    waits = 0
-    max_wait = 0
-    for _ in range(2000):
-        reqs = [rng.random() < 0.7 for _ in range(size)]
-        reqs[3] = True  # line 3 always requests
-        g = arb.grant(reqs)
-        assert g != -1
-        if g == 3:
-            max_wait = max(max_wait, waits)
-            waits = 0
-        else:
-            waits += 1
-    # round-robin bound: at most size-1 other grants between two grants
-    assert max_wait <= size - 1, f"line 3 starved for {max_wait} grants"
-
-
-def test_rr_single_line_and_validation():
-    arb = RoundRobinArbiter(1)
-    assert arb.grant([True]) == 0
-    assert arb.grant([False]) == -1
-    with pytest.raises(ValueError):
-        arb.grant([True, False])
-    with pytest.raises(ValueError):
-        RoundRobinArbiter(0)
-
-
-# -- MatrixArbiter ------------------------------------------------------------
-
-def test_matrix_grants_only_requesters():
-    rng = random.Random(7)
-    arb = MatrixArbiter()
-    pop = ["a", "b", "c", "d"]
-    for _ in range(STEPS):
-        reqs = [p for p in pop if rng.random() < 0.5]
-        w = arb.grant(reqs)
-        if reqs:
-            assert w in reqs
-        else:
-            assert w is None
-
-
-def test_matrix_rotation_no_starvation():
-    arb = MatrixArbiter()
-    wins = {p: 0 for p in "abc"}
-    for _ in range(30):
-        wins[arb.grant(["a", "b", "c"])] += 1
-    assert wins == {"a": 10, "b": 10, "c": 10}
 
 
 # -- separable switch allocation (router level) -------------------------------
@@ -343,3 +254,124 @@ def test_sa_matches_reference_scan(monkeypatch, mechanism, num_vcs, gated,
                                seed=seed)
         gen.run(250)
     assert calls, "the run never reached switch allocation"
+
+
+# -- VC allocation vs the reference rule ---------------------------------------
+
+def _reference_va(router, now):
+    """The VC allocator as the rule it implements: the requesters for an
+    output ordered by ``(key - _va_ptr[out]) mod nports*V`` (``key`` is
+    ``port index * V + vc``), each taking its first free allowed VC, the
+    pointer moving one past the first winner; a head routed to LOCAL is
+    granted outright.  Read-only (the mechanisms' ``route`` and
+    ``allowed_vcs`` are pure functions of router state); returns the
+    grants ``{(in_dir, vci): (out_dir, out_vc)}`` and the pointers after
+    them."""
+    from repro.core.routing import Hold
+    from repro.noc.buffer import VCState
+    from repro.noc.types import Direction
+
+    V, mech = router._V, router.mech
+    total = len(router.ports) * V
+    grants = {}
+    requests: dict = {}
+    for pi, in_dir in enumerate(router.ports):
+        for vci, vc in enumerate(router.ivc[in_dir]):
+            if vc.state is not VCState.ROUTING:
+                continue
+            head = vc.buffer[0]
+            decision = mech.route(router, head, in_dir, now)
+            if type(decision) is Hold:
+                continue
+            if decision.out_dir is Direction.LOCAL:
+                grants[(in_dir, vci)] = (Direction.LOCAL, 0)
+                continue
+            requests.setdefault(decision.out_dir, []).append(
+                (pi * V + vci, in_dir, vci,
+                 mech.allowed_vcs(router, head.packet)))
+    va_ptr = dict(router._va_ptr)
+    for out_d, reqs in requests.items():
+        ptr = va_ptr[out_d]
+        owners = list(router.out_owner[out_d])
+        first = None
+        for key, in_dir, vci, allowed in sorted(
+                reqs, key=lambda r: (r[0] - ptr) % total):
+            ovc = next((o for o in allowed if owners[o] is None), None)
+            if ovc is None:
+                continue
+            owners[ovc] = (in_dir, vci)
+            grants[(in_dir, vci)] = (out_d, ovc)
+            if first is None:
+                first = key
+        if first is not None:
+            va_ptr[out_d] = (first + 1) % total
+    return grants, va_ptr
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mechanism=st.sampled_from(("baseline", "gflov", "rp", "nord")),
+       num_vcs=st.sampled_from((1, 3, 7)),
+       gated=st.sampled_from((0.0, 0.3, 0.6)),
+       rate=st.floats(0.05, 0.45),
+       seed=st.integers(1, 10_000))
+def test_va_matches_reference_scan(monkeypatch, mechanism, num_vcs, gated,
+                                   rate, seed):
+    """Differential: in every state a run reaches, ``Router._vc_allocate``
+    grants exactly what :func:`_reference_va` grants and leaves the same
+    ``_va_ptr``.  Hence VA moves only requesting (ROUTING) VCs, gives each
+    output VC at most one owner, charges one arbitration per grant, and
+    rotates its priority."""
+    from repro.config import NoCConfig
+    from repro.gating.schedule import StaticGating
+    from repro.noc.buffer import VCState
+    from repro.noc.network import Network
+    from repro.noc.router import Router
+    from repro.noc.types import Direction
+    from repro.traffic.generator import TrafficGenerator
+    from repro.traffic.patterns import get_pattern
+
+    allocate = Router._vc_allocate
+    calls = moved = 0
+
+    def checked_allocate(router, now):
+        nonlocal calls, moved
+        calls += 1
+        grants, va_ptr = _reference_va(router, now)
+        states = {(d, i): vc.state for d in router.ports
+                  for i, vc in enumerate(router.ivc[d])}
+        owners = {d: list(o) for d, o in router.out_owner.items()}
+        pointers = dict(router._va_ptr)
+        arbitrations = router._acct.arbitrations
+        allocate(router, now)
+        where = f"router {router.node} cycle {now}"
+        changed = {}
+        for (d, i), before in states.items():
+            vc = router.ivc[d][i]
+            if vc.state is not before:
+                assert (before, vc.state) == (VCState.ROUTING,
+                                              VCState.ACTIVE), where
+                changed[(d, i)] = (vc.out_port, vc.out_vc)
+        assert changed == grants, f"{where}: grants differ"
+        for out_d, now_owners in router.out_owner.items():
+            new = {ovc: o for ovc, o in enumerate(now_owners)
+                   if o != owners[out_d][ovc]}
+            assert all(owners[out_d][ovc] is None for ovc in new), (
+                f"{where}: {out_d.name} VC granted while owned")
+            assert new == {ovc: k for k, (d, ovc) in grants.items()
+                           if d is out_d and d is not Direction.LOCAL}, where
+        assert router._acct.arbitrations - arbitrations == len(grants), where
+        assert router._va_ptr == va_ptr, f"{where}: VA pointers"
+        moved += va_ptr != pointers
+
+    with monkeypatch.context() as m:
+        m.setattr(Router, "_vc_allocate", checked_allocate)
+        cfg = NoCConfig(mechanism=mechanism, width=4, height=4,
+                        num_vcs=num_vcs, seed=seed)
+        net = Network(cfg, kernel="active")
+        net.set_gating(StaticGating(cfg.num_routers, gated, seed=seed))
+        gen = TrafficGenerator(net, get_pattern("uniform", cfg), rate,
+                               seed=seed)
+        gen.run(250)
+    assert calls, "the run never reached VC allocation"
+    assert moved, "VA never moved a round-robin pointer"

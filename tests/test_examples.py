@@ -1,6 +1,7 @@
 """Out-of-tree callers must keep working: examples run as subprocesses,
-``bench/`` (outside tier-1 ``testpaths``) still finds its imports, and
-every command EXPERIMENTS.md regenerates a table with still parses."""
+``bench/`` (outside tier-1 ``testpaths``) still finds its imports,
+every command EXPERIMENTS.md regenerates a table with still parses, and
+DESIGN.md's module map matches the tree."""
 
 import ast
 import importlib
@@ -102,3 +103,26 @@ def test_example_specs_load():
     assert paths
     for path in paths:
         load_spec_file(str(path))
+
+
+def test_design_module_map_matches_tree():
+    """DESIGN.md section 5 names every ``src/repro`` module (package
+    ``__init__`` files aside), and every module it names exists."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text.split("## 5. Module map", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    named = set()
+    for line in block.splitlines():
+        entry = re.match(r"  (\S+\.py)\b", line)  # continuations indent more
+        if entry is None:
+            continue
+        head, _, tail = entry.group(1).rpartition("/")
+        stems = re.fullmatch(r"\{(.+)\}\.py", tail)
+        for stem in (stems.group(1).split(",") if stems
+                     else [tail.removesuffix(".py")]):
+            named.add(f"{head}/{stem}.py" if head else f"{stem}.py")
+    src = ROOT / "src" / "repro"
+    tree = {path.relative_to(src).as_posix() for path in src.rglob("*.py")
+            if path.name != "__init__.py"}
+    assert sorted(named - tree) == [], "the map names missing modules"
+    assert sorted(tree - named) == [], "modules missing from the map"

@@ -5,7 +5,7 @@ import pytest
 
 from repro import NoCConfig, Network
 from repro.core.handshake import Msg
-from repro.core.power_fsm import (PowerState, blocks_new_packets, is_powered)
+from repro.core.power_fsm import FLOV_STATES, POWERED_STATES, PowerState
 from repro.gating.schedule import EpochGating
 from repro.noc.types import Direction
 
@@ -16,14 +16,11 @@ def make(mech="gflov", **kw):
 
 
 def test_power_fsm_predicates():
-    assert is_powered(PowerState.ACTIVE)
-    assert is_powered(PowerState.DRAINING)
-    assert not is_powered(PowerState.SLEEP)
-    assert not is_powered(PowerState.WAKEUP)
-    assert blocks_new_packets(PowerState.DRAINING)
-    assert blocks_new_packets(PowerState.WAKEUP)
-    assert not blocks_new_packets(PowerState.SLEEP)
-    assert not blocks_new_packets(PowerState.ACTIVE)
+    # the baseline pipeline runs while ACTIVE or DRAINING; the FLOV latch
+    # datapath forwards while SLEEP or WAKEUP; every state is one of them
+    assert POWERED_STATES == {PowerState.ACTIVE, PowerState.DRAINING}
+    assert FLOV_STATES == {PowerState.SLEEP, PowerState.WAKEUP}
+    assert POWERED_STATES | FLOV_STATES == set(PowerState)
 
 
 def test_message_delay_is_hop_distance():

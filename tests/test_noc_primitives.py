@@ -1,8 +1,7 @@
-"""Unit tests for channels, buffers, allocators, flits, stats."""
+"""Unit tests for channels, buffers, flits, stats."""
 
 import pytest
 
-from repro.noc.allocators import MatrixArbiter, RoundRobinArbiter
 from repro.noc.buffer import InputVC, VCState
 from repro.noc.channel import DelayChannel
 from repro.noc.stats import StatsCollector
@@ -111,46 +110,6 @@ def test_vc_allocate_requires_routing():
     vc = InputVC(capacity=4)
     with pytest.raises(RuntimeError):
         vc.allocate(Direction.EAST, 0)
-
-
-# ----------------------------------------------------------------- arbiters
-
-def test_round_robin_rotates():
-    arb = RoundRobinArbiter(4)
-    reqs = [True, True, True, True]
-    grants = [arb.grant(reqs) for _ in range(8)]
-    assert grants == [0, 1, 2, 3, 0, 1, 2, 3]
-
-
-def test_round_robin_skips_idle():
-    arb = RoundRobinArbiter(3)
-    assert arb.grant([False, True, False]) == 1
-    assert arb.grant([True, False, True]) == 2
-    assert arb.grant([True, False, False]) == 0
-    assert arb.grant([False, False, False]) == -1
-
-
-def test_round_robin_size_mismatch():
-    arb = RoundRobinArbiter(2)
-    with pytest.raises(ValueError):
-        arb.grant([True])
-
-
-def test_matrix_arbiter_fair():
-    arb = MatrixArbiter()
-    grants = [arb.grant(["a", "b", "c"]) for _ in range(6)]
-    assert grants == ["a", "b", "c", "a", "b", "c"]
-
-
-def test_matrix_arbiter_empty():
-    assert MatrixArbiter().grant([]) is None
-
-
-def test_matrix_arbiter_changing_population():
-    arb = MatrixArbiter()
-    assert arb.grant(["a", "b"]) == "a"
-    assert arb.grant(["b", "c"]) == "b"
-    assert arb.grant(["a", "b", "c"]) == "c"
 
 
 # -------------------------------------------------------------------- types

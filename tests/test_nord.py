@@ -6,6 +6,7 @@ from repro import NoCConfig, Network
 from repro.baselines.nord import BypassRing, serpentine_order
 from repro.core.power_fsm import PowerState
 from repro.gating.schedule import EpochGating
+from repro.noc.types import make_packet
 
 
 def make_net(**kw):
@@ -24,11 +25,21 @@ def test_serpentine_visits_all_nodes_adjacently():
 
 
 def test_ring_distance():
+    """The ring is unidirectional: one station forward is one hop, one
+    station back is the long way round (every station visited once)."""
     net = make_net()
     ring = net.mech.ring
     order = ring.order
-    assert ring.distance(order[0], order[1]) == 1
-    assert ring.distance(order[1], order[0]) == len(order) - 1
+    ahead = make_packet(1, order[0], order[1], 1)[0].packet
+    behind = make_packet(2, order[1], order[0], 1)[0].packet
+    ring.insert(ahead, order[0], now=net.cycle)
+    ring.insert(behind, order[1], now=net.cycle)
+    for _ in range(BypassRing.HOP_CYCLES * (len(order) + 2)):
+        net.step()
+    # one latch-and-forward per station visited, the entry station included
+    assert ahead.flov_hops == 1 + 1
+    assert behind.flov_hops == len(order) - 1 + 1
+    assert ahead.eject_time > 0 and behind.eject_time > 0
 
 
 def test_nord_gates_routers():

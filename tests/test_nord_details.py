@@ -42,11 +42,17 @@ def test_ring_energy_charged_per_flit_hop():
 
 
 def test_ring_wraps_around():
+    """The last ring station forwards to the first: one hop."""
     net = Network(NoCConfig(mechanism="nord"))
     ring = net.mech.ring
-    last = ring.order[-1]
-    first = ring.order[0]
-    assert ring.distance(last, first) == 1
+    pkt = make_packet(1, ring.order[-1], ring.order[0], 4)[0].packet
+    ring.insert(pkt, ring.order[-1], now=net.cycle)
+    start = net.cycle
+    for _ in range(40):
+        net.step()
+        if pkt.eject_time > 0:
+            break
+    assert pkt.eject_time - start == pytest_approx_hops(1)
 
 
 def test_nord_drain_waits_for_credits():

@@ -221,14 +221,10 @@ def test_histogram_inclusive_upper_edges_and_overflow():
     assert math.isclose(h.mean, h.total / 10)
 
 
-def test_histogram_quantiles_and_dict():
+def test_histogram_as_dict():
     h = Histogram("h", bounds=(10, 20, 30))
     for v in (5, 15, 25, 35):
         h.observe(v)
-    assert h.quantile(0.25) == 10      # first observation's bucket edge
-    assert h.quantile(1.0) == h.max    # overflow bucket reports true max
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
     d = h.as_dict()
     assert d["bounds"] == [10.0, 20.0, 30.0]
     assert d["counts"] == [1, 1, 1, 1]
@@ -241,7 +237,7 @@ def test_histogram_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         Histogram("h", bounds=(1, 1, 2))
     empty = Histogram("h")
-    assert empty.mean == 0.0 and empty.quantile(0.5) == 0.0
+    assert empty.mean == 0.0
     assert empty.as_dict()["min"] is None
 
 

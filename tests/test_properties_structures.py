@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fullsystem.cache import SetAssocCache
-from repro.noc.allocators import MatrixArbiter, RoundRobinArbiter
 from repro.noc.buffer import InputVC, VCState
 from repro.noc.channel import DelayChannel
 from repro.noc.types import Direction, make_packet
@@ -49,37 +48,6 @@ def test_cache_lru_order(accesses):
             expect = next(iter(lru))
             assert victim[0] == expect
             del lru[expect]
-
-
-# -------------------------------------------------------------- arbiters
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 8), st.lists(st.integers(0, 255), min_size=1,
-                                   max_size=60))
-def test_round_robin_no_starvation(size, reqmasks):
-    """A persistently-requesting line is granted within `size` rounds."""
-    arb = RoundRobinArbiter(size)
-    target = 0
-    waits = 0
-    for mask in reqmasks:
-        reqs = [(mask >> i) & 1 == 1 for i in range(size)]
-        reqs[target] = True
-        g = arb.grant(reqs)
-        if g == target:
-            waits = 0
-        else:
-            waits += 1
-            assert waits < size, "round-robin starved a requester"
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.sets(st.integers(0, 5), min_size=1), min_size=1,
-                max_size=50))
-def test_matrix_arbiter_always_grants_a_requester(reqsets):
-    arb = MatrixArbiter()
-    for reqs in reqsets:
-        winner = arb.grant(sorted(reqs))
-        assert winner in reqs
 
 
 # ------------------------------------------------------------------ buffer

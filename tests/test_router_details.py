@@ -93,16 +93,55 @@ def test_ejection_one_flit_per_cycle():
                                                   b.inject_time) + 8
 
 
-def test_sa_round_robin_fairness():
-    """Sustained competition for one output port serves both inputs."""
+def test_sa_round_robin_fairness(monkeypatch):
+    """Sustained competition for one output port serves both inputs, and
+    the wait is bounded: while an input competes for router 2's east
+    output, at most ``nports - 1`` grants of that output go to others
+    between two grants of its own."""
+    from repro.noc.router import Router
+
     net = fresh()
+    r2, east = net.routers[2], Direction.EAST
+    allocate = Router._switch_allocate
+    waits: dict = {}  # competing input port -> east grants to others
+    worst = contested = 0
+
+    def spy(router, now):
+        nonlocal worst, contested
+        if router is not r2:
+            return allocate(router, now)
+        # the east-bound VCs SA may grant this cycle, by input port
+        ready = {(d, i): len(vc.buffer) for d in router.ports
+                 for i, vc in enumerate(router.ivc[d])
+                 if vc.state is VCState.ACTIVE and vc.out_port is east
+                 and vc.buffer and vc.buffer[0].ready <= now
+                 and router.credits[east][vc.out_vc] > 0}
+        allocate(router, now)
+        won = [d for (d, i), n in ready.items()
+               if len(router.ivc[d][i].buffer) < n]
+        competing = {d for d, _ in ready}
+        for d in list(waits):
+            if d not in competing:
+                del waits[d]  # stopped competing: its wait is over
+        if not won:
+            return
+        (winner,) = won
+        contested += len(competing) > 1
+        for d in competing - {winner}:
+            waits[d] = waits.get(d, 0) + 1
+            worst = max(worst, waits[d])
+        waits[winner] = 0
+
+    monkeypatch.setattr(Router, "_switch_allocate", spy)
     for _ in range(12):
         net.inject_packet(1, 3)   # west->east through 2
         net.inject_packet(2, 3)   # local at 2 toward east
-    done = 0
     for _ in range(1200):
         net.step()
     assert net.stats.packets_ejected == 24
+    assert contested >= 24, "the two inputs never competed for east"
+    assert worst <= len(r2.ports) - 1, (
+        f"an input waited {worst} east grants (bound {len(r2.ports) - 1})")
 
 
 def test_extract_packet_restores_credits():

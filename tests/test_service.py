@@ -491,6 +491,46 @@ def test_break_out_of_events_then_poll(service):
     assert len(conns) == 2
 
 
+def test_abandoned_streams_release_subscribers_and_connections(service):
+    """A client leaving a stream mid-job frees the server's subscriber
+    and connection at once, not at the job's next event."""
+    gate = threading.Event()
+    svc, client = service(executor=lambda: SlowSerial(gate=gate),
+                          workers=1)
+    snap = client.submit(FAST)
+    job = svc.store.get(snap["id"])
+    try:
+        for _ in range(5):
+            for event in client.events(snap["id"]):
+                break  # mid-stream: the job waits on the gate
+        deadline = time.monotonic() + 1.0
+        while ((job.subscribers or svc._conns)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert job.subscribers == []
+        assert not svc._conns, "an abandoned stream's handler is parked"
+    finally:
+        gate.set()
+    assert client.wait(snap["id"])["status"] == DONE
+
+
+def test_bytes_sent_during_a_stream_are_never_a_request(service):
+    """The stream still runs to its end, then the connection closes."""
+    gate = threading.Event()
+    _, client = service(executor=lambda: SlowSerial(gate=gate), workers=1)
+    job_id = client.submit(FAST)["id"]
+    with closing(raw_socket(client.port)) as sock:
+        f = sock.makefile("rb")
+        sock.sendall(f"GET /jobs/{job_id}/events HTTP/1.1\r\n"
+                     f"Host: x\r\n\r\n".encode())
+        assert f.readline().split()[1] == b"200"  # the stream is live
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        gate.set()
+        rest = f.read()  # up to the server's close
+    assert b"event: end" in rest and rest.endswith(b"\r\n0\r\n\r\n")
+    assert rest.count(b"HTTP/1.1") == 0, "the healthz bytes were answered"
+
+
 def test_call_inside_events_loop_uses_its_own_connection(service):
     conns: list = []
     _, client = service(conns=conns,

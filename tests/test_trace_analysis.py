@@ -301,7 +301,7 @@ def test_profiler_reset():
     prof.cycles += 1
     prof.reset()
     assert prof.accounted_ns == 0 and prof.cycles == 0
-    assert prof.per_cycle_ns()["delivery"] == 0.0
+    assert prof.phase_ns()["delivery"] == 0
 
 
 # -- sampler final flush (partial window) --------------------------------------
