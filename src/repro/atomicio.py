@@ -63,32 +63,43 @@ def atomic_write_json(path: Path, payload: Any) -> None:
         raise
 
 
-def read_json_checked(path: Path, *, label: str = "entry",
+#: ``open()`` failures that mean "no file here", not "corrupt file"
+_ABSENT_ERRORS = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
+
+
+def read_json_checked(path: str | os.PathLike[str], *,
+                      label: str = "entry",
                       check: Callable[[Any], None] | None = None,
                       discard: bool = True) -> Any | None:
     """Load a JSON document, discarding it if corrupt.
 
-    Returns the parsed payload, or ``None`` when the file does not
-    exist or fails to parse/validate.  ``check`` may raise any of
-    :data:`CORRUPT_ERRORS` to reject a structurally broken payload
-    (e.g. a stale schema version); rejected files are reported with a
-    :class:`RuntimeWarning` and, when ``discard`` is set, unlinked so
-    they are not re-probed forever.
+    Returns the parsed payload, or ``None`` in two cases that are told
+    apart:
+
+    * **missing** — nothing is there to read (no file, or a directory
+      in its place): a silent miss, no warning, nothing unlinked;
+    * **corrupt** — the file exists but cannot be read, does not parse,
+      or ``check`` rejects it by raising any of :data:`CORRUPT_ERRORS`
+      (e.g. a stale schema version): reported with a
+      :class:`RuntimeWarning` and, when ``discard`` is set, unlinked so
+      it is not re-probed forever.
+
+    The file is opened once, with no ``stat`` beforehand: the open
+    itself says whether it is there.
     """
-    path = Path(path)
-    if not path.is_file():
-        return None
     try:
         with open(path) as fh:
             payload = json.load(fh)
         if check is not None:
             check(payload)
+    except _ABSENT_ERRORS:
+        return None
     except CORRUPT_ERRORS as exc:
-        warnings.warn(f"discarding corrupted {label} {path}: {exc}",
-                      RuntimeWarning, stacklevel=2)
+        warnings.warn(f"discarding corrupted {label} {os.fspath(path)}: "
+                      f"{exc}", RuntimeWarning, stacklevel=2)
         if discard:
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
         return None

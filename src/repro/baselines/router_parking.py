@@ -58,7 +58,11 @@ class RouterParkingMechanism(Mechanism):
 
     def setup(self) -> None:
         super().setup()
-        self._apply(0, frozenset())
+        # all routers on; the first schedule (set_gating, at cycle 0)
+        # computes the real tables, so the all-on table is left empty
+        # and built only if a flit is routed, or the state snapshotted,
+        # before any schedule arrives
+        self._park(0, frozenset())
 
     def on_schedule_change(self, now: int, gated: frozenset[int]) -> None:
         self._pending = gated
@@ -92,31 +96,42 @@ class RouterParkingMechanism(Mechanism):
         if not endpoints:
             endpoints = frozenset({0})
         candidates = sorted(gated - self.protected)
+        if not candidates:
+            return frozenset()
+        # one full-mesh adjacency; each trial walks only its on-nodes
+        adj = mesh_adjacency(cfg, all_nodes)
         parked: set[int] = set()
         policy = cfg.rp_policy
         if policy == "adaptive":
-            base_avg = average_distance(cfg, all_nodes, endpoints)
+            base_avg = average_distance(cfg, all_nodes, endpoints, adj=adj)
             limit = (1.0 + self.detour_alpha) * base_avg
         for cand in candidates:
             trial_on = all_nodes - parked - {cand}
             if not endpoints <= trial_on:
                 continue
-            adj = mesh_adjacency(cfg, frozenset(trial_on))
-            if not is_connected(adj, endpoints):
+            if not is_connected(adj, endpoints, trial_on):
                 continue
             if policy == "adaptive":
-                avg = average_distance(cfg, frozenset(trial_on), endpoints)
+                avg = average_distance(cfg, trial_on, endpoints, adj=adj)
                 if avg > limit:
                     continue
             parked.add(cand)
         return frozenset(parked)
 
+    def _build_tables(self, parked: frozenset[int]) -> None:
+        """Up*/down* tables over the routers not in ``parked``."""
+        on_nodes = frozenset(range(self.cfg.num_routers)) - parked
+        self.tables = build_tables(self.cfg, on_nodes, min(on_nodes))
+
     def _apply(self, now: int, gated: frozenset[int]) -> None:
-        cfg = self.cfg
         new_parked = self.choose_parked(gated)
-        on_nodes = frozenset(range(cfg.num_routers)) - new_parked
-        root = min(on_nodes)
-        self.tables = build_tables(cfg, on_nodes, root)
+        self._build_tables(new_parked)
+        self._park(now, new_parked)
+
+    def _park(self, now: int, new_parked: frozenset[int]) -> None:
+        """Power routers down/up to ``new_parked`` and mirror the
+        decision into every router's PSRs."""
+        cfg = self.cfg
         acct = self.net.accountant
         tr = self.net._tracer
         for node in new_parked - self.parked:
@@ -169,6 +184,9 @@ class RouterParkingMechanism(Mechanism):
         dest = head.packet.dest
         table = self.tables.get(router.node)
         if table is None:
+            if not self.tables:  # no schedule yet: all-on, built now
+                self._build_tables(self.parked)
+                return self.route(router, head, in_dir, now)
             raise RuntimeError(f"parked router {router.node} routing a flit")
         d = table.get(dest)
         if d is None:
@@ -184,6 +202,8 @@ class RouterParkingMechanism(Mechanism):
     # -- SimSnapshot protocol -------------------------------------------------
 
     def snapshot_state(self, pkts) -> dict:
+        if not self.tables:
+            self._build_tables(self.parked)
         return {
             "tables": {str(n): {str(dst): int(d) for dst, d in t.items()}
                        for n, t in self.tables.items()},

@@ -10,7 +10,7 @@ channel-dependency cycle, so any set of legal paths is deadlock-free.
 
 ``build_tables`` computes, for every on-router, the next hop of a
 *shortest legal* path to every reachable destination via BFS over the
-state graph ``(node, has_gone_down)``.
+state graph ``(node, has_gone_down)``, encoded ``node*2 + has_gone_down``.
 """
 
 from __future__ import annotations
@@ -39,27 +39,31 @@ def mesh_adjacency(cfg: NoCConfig, on_nodes: frozenset[int]
     return adj
 
 
-def bfs_levels(adj: Mapping[int, Mapping[Direction, int]], root: int
-               ) -> dict[int, int]:
-    """BFS level of every node reachable from ``root``."""
+def bfs_levels(adj: Mapping[int, Mapping[Direction, int]], root: int,
+               within: frozenset[int] | None = None) -> dict[int, int]:
+    """BFS level of every node reachable from ``root`` (through nodes of
+    ``within`` only, when given — so one full-mesh ``adj`` serves every
+    sub-mesh)."""
     levels = {root: 0}
     q = deque([root])
     while q:
         u = q.popleft()
         for v in adj[u].values():
-            if v not in levels:
+            if v not in levels and (within is None or v in within):
                 levels[v] = levels[u] + 1
                 q.append(v)
     return levels
 
 
 def is_connected(adj: Mapping[int, Mapping[Direction, int]],
-                 must_reach: frozenset[int]) -> bool:
-    """All nodes of ``must_reach`` lie in one connected component."""
+                 must_reach: frozenset[int],
+                 within: frozenset[int] | None = None) -> bool:
+    """All nodes of ``must_reach`` lie in one connected component (of
+    the sub-mesh induced by ``within``, when given)."""
     if not must_reach:
         return True
     root = next(iter(must_reach))
-    seen = bfs_levels(adj, root)
+    seen = bfs_levels(adj, root, within)
     return must_reach <= seen.keys()
 
 
@@ -75,31 +79,46 @@ def build_tables(cfg: NoCConfig, on_nodes: frozenset[int], root: int
     unreachable = on_nodes - levels.keys()
     if unreachable:
         raise ValueError(f"on-subgraph disconnected: {sorted(unreachable)}")
+    # out-links of every on-node as (direction, neighbour, is_up), in
+    # adjacency order; a link goes up when it lowers (BFS level, id)
+    links: list[list[tuple[Direction, int, bool]]] = [
+        [] for _ in range(cfg.num_routers)]
+    for u, nbrs in adj.items():
+        rank = (levels[u], u)
+        links[u] = [(d, v, (levels[v], v) < rank) for d, v in nbrs.items()]
 
-    def is_up(u: int, v: int) -> bool:
-        return (levels[v], v) < (levels[u], u)
-
+    local = Direction.LOCAL
+    n_states = 2 * cfg.num_routers
     tables: dict[int, dict[int, Direction]] = {}
     for src in on_nodes:
-        # BFS over (node, has_gone_down), carrying the first hop taken.
-        table: dict[int, Direction] = {src: Direction.LOCAL}
-        best: dict[tuple[int, bool], Direction | None] = {(src, False): None}
-        q: deque[tuple[int, bool]] = deque([(src, False)])
-        while q:
-            u, went_down = q.popleft()
-            first = best[(u, went_down)]
-            for d, v in adj[u].items():
-                up = is_up(u, v)
-                if went_down and up:
-                    continue  # down -> up turn forbidden
-                state = (v, went_down or not up)
-                if state in best:
+        # BFS over states node*2 + has_gone_down, carrying the first hop
+        # taken (None = state not reached yet)
+        table: dict[int, Direction] = {src: local}
+        hop: list[Direction | None] = [None] * n_states
+        hop[2 * src] = local
+        queue: list[int] = []
+        for d, v, up in links[src]:
+            state = 2 * v + (not up)
+            hop[state] = d
+            if v not in table:
+                table[v] = d
+            queue.append(state)
+        for state in queue:  # grows while it is walked: FIFO order
+            first = hop[state]
+            went_down = state & 1
+            for _, v, up in links[state >> 1]:
+                if up:
+                    if went_down:
+                        continue  # down -> up turn forbidden
+                    nxt = 2 * v
+                else:
+                    nxt = 2 * v + 1
+                if hop[nxt] is not None:
                     continue
-                hop = first if first is not None else d
-                best[state] = hop
+                hop[nxt] = first
                 if v not in table:
-                    table[v] = hop
-                q.append(state)
+                    table[v] = first
+                queue.append(nxt)
         missing = on_nodes - table.keys()
         if missing:
             raise ValueError(
@@ -109,14 +128,20 @@ def build_tables(cfg: NoCConfig, on_nodes: frozenset[int], root: int
 
 
 def average_distance(cfg: NoCConfig, on_nodes: frozenset[int],
-                     endpoints: frozenset[int]) -> float:
+                     endpoints: frozenset[int], *,
+                     adj: Mapping[int, Mapping[Direction, int]] | None = None
+                     ) -> float:
     """Average shortest-path hop count between endpoint pairs over the
-    on-subgraph (unconstrained paths — used by RP's parking policy)."""
-    adj = mesh_adjacency(cfg, on_nodes)
+    on-subgraph (unconstrained paths — used by RP's parking policy).
+
+    ``adj`` may be any adjacency that covers ``on_nodes`` (RP passes
+    the full mesh's, built once); paths stay inside ``on_nodes``."""
+    if adj is None:
+        adj = mesh_adjacency(cfg, on_nodes)
     pairs = 0
     total = 0
     for s in endpoints:
-        levels = bfs_levels(adj, s)
+        levels = bfs_levels(adj, s, on_nodes)
         for t in endpoints:
             if t != s:
                 if t not in levels:

@@ -158,13 +158,12 @@ class NoCConfig:
         in declaration order, so it round-trips through
         :meth:`from_dict` and feeds :meth:`stable_hash`.
         """
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "NoCConfig":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(_FIELD_NAMES)
         if unknown:
             raise ValueError(f"unknown NoCConfig fields: {sorted(unknown)}")
         return cls(**data)
@@ -181,6 +180,11 @@ class NoCConfig:
         the process, so it is usable as an on-disk cache-key component.
         """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+#: NoCConfig field names in declaration order, read once at import
+#: (``to_dict`` runs once per cache key)
+_FIELD_NAMES = tuple(f.name for f in fields(NoCConfig))
 
 
 @dataclass(frozen=True)

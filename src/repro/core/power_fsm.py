@@ -17,7 +17,10 @@ State machine::
   transmissions through it, latches drain, then the 10-cycle power-on.
 
 The FSM itself lives in :class:`repro.core.handshake.HandshakeController`;
-this module defines the states and the two state classes they fall into.
+this module defines the states.  Their order encodes the two classes
+they fall into: the baseline pipeline runs while ``state <= DRAINING``
+(ACTIVE, DRAINING), the FLOV latch datapath forwards otherwise (SLEEP,
+WAKEUP) — the router tests that comparison inline.
 """
 
 from __future__ import annotations
@@ -30,10 +33,3 @@ class PowerState(IntEnum):
     DRAINING = 1
     SLEEP = 2
     WAKEUP = 3
-
-
-#: States in which the baseline router pipeline operates.
-POWERED_STATES = frozenset({PowerState.ACTIVE, PowerState.DRAINING})
-
-#: States in which the FLOV latch datapath forwards flits.
-FLOV_STATES = frozenset({PowerState.SLEEP, PowerState.WAKEUP})

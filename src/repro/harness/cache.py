@@ -26,8 +26,9 @@ Environment knobs
     Root directory for cache files (default ``.repro_cache`` in the
     current working directory).
 
-Corrupted or schema-incompatible cache files are discarded with a
-warning and recomputed — never a crash.
+A missing entry is a silent miss.  Corrupted or schema-incompatible
+cache files are discarded with a warning and recomputed — never a
+crash.
 """
 
 from __future__ import annotations
@@ -156,9 +157,13 @@ class ResultCache:
 
     # -- layout --------------------------------------------------------------
 
-    def path_for(self, key: dict[str, Any]) -> Path:
+    def _entry(self, key: dict[str, Any]) -> str:
+        """Entry path of ``key`` as one string (no ``pathlib`` per probe)."""
         digest = stable_digest(key)
-        return self.root / digest[:2] / f"{digest}.json"
+        return f"{self.root}{os.sep}{digest[:2]}{os.sep}{digest}.json"
+
+    def path_for(self, key: dict[str, Any]) -> Path:
+        return Path(self._entry(key))
 
     # -- operations ----------------------------------------------------------
 
@@ -189,7 +194,7 @@ class ResultCache:
                                  f"{CACHE_SCHEMA_VERSION}")
             decoded.append(result_from_dict(payload["result"]))
 
-        payload = read_json_checked(self.path_for(key), label="cache entry",
+        payload = read_json_checked(self._entry(key), label="cache entry",
                                     check=check)
         if payload is None or not decoded:
             self.misses += 1

@@ -35,11 +35,14 @@ value must be canonically JSON-serializable so
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import inspect
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any
 
 from . import registry
 from .config import NoCConfig
@@ -49,6 +52,9 @@ __all__ = ["ExperimentSpec", "SweepSpec", "SpecError", "JobEnvelope",
 
 #: keys accepted in the ``workload_args`` mapping (full-system runs)
 WORKLOAD_ARG_KEYS = ("instructions", "max_cycles", "warmup")
+
+#: names a spec's ``overrides`` may set
+_CONFIG_FIELDS = frozenset(f.name for f in fields(NoCConfig))
 
 
 class SpecError(ValueError):
@@ -80,12 +86,24 @@ def _check_mapping(value: Any, where: str) -> dict[str, Any]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _factory_signature(factory: Any) -> inspect.Signature | None:
+    """Signature of a pattern factory, read once per factory object (a
+    name re-registered with another factory gets its own entry)."""
+    try:
+        return inspect.signature(factory)
+    except (TypeError, ValueError):  # pragma: no cover - exotic plugin
+        return None
+
+
 def _validate_pattern_kwargs(pattern: str, kwargs: dict[str, Any]) -> None:
     """Bind ``kwargs`` against the pattern factory's signature."""
     factory = registry.PATTERNS.get(pattern)
     try:
-        sig = inspect.signature(factory)
-    except (TypeError, ValueError):  # pragma: no cover - exotic plugin
+        sig = _factory_signature(factory)
+    except TypeError:  # pragma: no cover - unhashable plugin callable
+        sig = _factory_signature.__wrapped__(factory)
+    if sig is None:
         return
     try:
         sig.bind(None, **kwargs)  # first positional is the NoCConfig
@@ -184,14 +202,13 @@ class ExperimentSpec:
             object.__setattr__(self, "schedule", sched)
         object.__setattr__(self, "overrides",
                            _check_mapping(self.overrides, "overrides"))
-        cfg_fields = {f.name for f in fields(NoCConfig)}
         for key in self.overrides:
             if key in ("mechanism", "seed"):
                 raise SpecError(f"override {key!r} is spec-level; set the "
                                 f"spec's own {key!r} field instead")
-            if key not in cfg_fields:
+            if key not in _CONFIG_FIELDS:
                 raise SpecError(f"unknown NoCConfig override {key!r}; "
-                                f"expected one of {sorted(cfg_fields)}")
+                                f"expected one of {sorted(_CONFIG_FIELDS)}")
         if self.workload is not None:
             if self.workload not in registry.WORKLOADS:
                 raise SpecError(
@@ -204,31 +221,39 @@ class ExperimentSpec:
             if key not in WORKLOAD_ARG_KEYS:
                 raise SpecError(f"unknown workload_args key {key!r}; "
                                 f"expected one of {list(WORKLOAD_ARG_KEYS)}")
-        # full NoCConfig validation (bad width, AON column, ...)
+        # full NoCConfig validation (bad width, AON column, ...); the
+        # frozen config is kept for config() and cache_key()
         try:
-            self.config()
-        except SpecError:
-            raise
+            cfg = NoCConfig(mechanism=self.mechanism, seed=self.seed,
+                            **self.overrides)
         except ValueError as exc:
             raise SpecError(f"invalid configuration: {exc}") from None
+        object.__setattr__(self, "_config", cfg)
 
     # -- derived --------------------------------------------------------------
 
     def config(self) -> NoCConfig:
-        """The :class:`NoCConfig` this spec simulates."""
-        return NoCConfig(mechanism=self.mechanism, seed=self.seed,
-                         **dict(self.overrides))
+        """The :class:`NoCConfig` this spec simulates (built once, at
+        validation; frozen, so every caller may share it)."""
+        return self._config
 
     def resolved(self) -> "ExperimentSpec":
         """Copy with warmup/measure cycle defaults pinned, so the cache
-        key and the executed run name the same cycle counts."""
+        key and the executed run name the same cycle counts.
+
+        Only the two cycle fields change, to valid defaults, so the copy
+        keeps this spec's validated state (its config included) rather
+        than validating again."""
         if self.warmup is not None and self.measure is not None:
             return self
         from .harness.runner import default_cycles
         dw, dm = default_cycles()
-        return replace(self,
-                       warmup=dw if self.warmup is None else self.warmup,
-                       measure=dm if self.measure is None else self.measure)
+        spec = copy.copy(self)
+        if self.warmup is None:
+            object.__setattr__(spec, "warmup", dw)
+        if self.measure is None:
+            object.__setattr__(spec, "measure", dm)
+        return spec
 
     def build_schedule(self, cfg: NoCConfig | None = None):
         """Instantiate the declarative gating schedule (or ``None``)."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro import NoCConfig, Network
 from repro.core.handshake import Msg
-from repro.core.power_fsm import FLOV_STATES, POWERED_STATES, PowerState
+from repro.core.power_fsm import PowerState
 from repro.gating.schedule import EpochGating
 from repro.noc.types import Direction
 
@@ -16,11 +16,12 @@ def make(mech="gflov", **kw):
 
 
 def test_power_fsm_predicates():
-    # the baseline pipeline runs while ACTIVE or DRAINING; the FLOV latch
-    # datapath forwards while SLEEP or WAKEUP; every state is one of them
-    assert POWERED_STATES == {PowerState.ACTIVE, PowerState.DRAINING}
-    assert FLOV_STATES == {PowerState.SLEEP, PowerState.WAKEUP}
-    assert POWERED_STATES | FLOV_STATES == set(PowerState)
+    # the router's inline ``state <= DRAINING`` test: the baseline
+    # pipeline runs exactly while ACTIVE or DRAINING; the FLOV latch
+    # datapath forwards in the other two states, SLEEP and WAKEUP
+    powered = {s for s in PowerState if s <= PowerState.DRAINING}
+    assert powered == {PowerState.ACTIVE, PowerState.DRAINING}
+    assert set(PowerState) - powered == {PowerState.SLEEP, PowerState.WAKEUP}
 
 
 def test_message_delay_is_hop_distance():

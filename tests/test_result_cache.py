@@ -124,6 +124,49 @@ def test_truncated_result_payload_is_discarded(cache):
         _engine(cache).run([task])
 
 
+@pytest.mark.parametrize("in_place", ["nothing", "directory"])
+def test_absent_entry_is_a_silent_miss(cache, in_place):
+    """No file at the entry path (nothing there, or a directory): no
+    warning, nothing unlinked, one miss counted."""
+    import warnings
+
+    key = _task().cache_key()
+    neighbour = cache.path_for({"other": 1})
+    neighbour.parent.mkdir(parents=True)
+    neighbour.write_text("{}")
+    if in_place == "directory":
+        cache.path_for(key).mkdir(parents=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.get(key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert neighbour.read_text() == "{}"
+    assert cache.path_for(key).is_dir() == (in_place == "directory")
+
+
+def test_warm_replay_builds_nothing_and_writes_nothing(cache, monkeypatch):
+    """A warm ``run_sweep_spec`` replays every cell from the store: no
+    Network is constructed and no cache entry is written."""
+    import repro.harness.cache as cache_mod
+    from repro.harness import run_sweep_spec
+    from repro.noc.network import Network
+    from repro.spec import SweepSpec
+
+    sweep = SweepSpec(mechanisms=("baseline", "rp"), rates=(0.02,),
+                      gated_fractions=(0.0, 0.4), warmup=30, measure=60,
+                      seed=5)
+    cold = run_sweep_spec(sweep, engine=_engine(cache))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm replay must not do this")
+
+    monkeypatch.setattr(Network, "__init__", forbidden)
+    monkeypatch.setattr(cache_mod, "atomic_write_json", forbidden)
+    engine = _engine(cache)
+    assert run_sweep_spec(sweep, engine=engine) == cold
+    assert engine.last_cache_hits == 4
+
+
 def test_no_cache_env_bypasses(cache, monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     eng = _engine(cache)

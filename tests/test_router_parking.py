@@ -49,6 +49,36 @@ def test_adaptive_policy_parks_fewer():
     assert len(ada.mech.parked) <= len(agg.mech.parked)
 
 
+def test_routing_tables_built_once_per_configuration(monkeypatch):
+    """A network that receives its schedule at cycle 0 builds one set of
+    up*/down* tables (the schedule's); one that never receives a
+    schedule builds the all-on set when it first routes."""
+    import repro.baselines.router_parking as rp_mod
+    from repro.baselines.updown import build_tables
+
+    built = []
+    real = rp_mod.build_tables
+
+    def counting(cfg, on_nodes, root):
+        built.append(on_nodes)
+        return real(cfg, on_nodes, root)
+
+    monkeypatch.setattr(rp_mod, "build_tables", counting)
+    net = make_net()
+    net.set_gating(EpochGating([(0, {9, 10, 17, 18})]))
+    assert built == [frozenset(range(64)) - net.mech.parked]
+
+    built.clear()
+    idle = make_net()
+    assert built == []
+    pkt = idle.inject_packet(0, 63)
+    idle.step(100)
+    assert pkt.eject_time > 0
+    assert built == [frozenset(range(64))]
+    assert idle.mech.tables == build_tables(idle.cfg, frozenset(range(64)),
+                                            0)
+
+
 def test_packets_route_around_parked():
     net = make_net()
     net.set_gating(EpochGating([(0, {9, 10, 17, 18})]))

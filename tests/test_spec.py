@@ -79,6 +79,49 @@ def test_pattern_kwargs_validated_against_factory():
                        pattern_kwargs={"hotspots": object()})
 
 
+def test_pattern_kwargs_bound_against_each_factory(monkeypatch):
+    """Signatures are read once per factory *object*: a pattern name
+    registered with another factory is validated against that factory's
+    own signature, never one remembered under the name."""
+    from repro import registry
+
+    def narrow(cfg, width=1):  # pragma: no cover - never called
+        return None
+
+    def wide(cfg, width=1, depth=2):  # pragma: no cover - never called
+        return None
+
+    for factory, ok, bad in ((narrow, {"width": 2}, {"depth": 3}),
+                             (wide, {"depth": 3}, {"breadth": 4}),
+                             (narrow, {"width": 5}, {"depth": 6})):
+        patterns = registry.Registry("traffic pattern")
+        patterns.register("probe", factory)
+        monkeypatch.setattr(registry, "PATTERNS", patterns)
+        ExperimentSpec("gflov", pattern="probe", pattern_kwargs=ok)
+        with pytest.raises(SpecError, match="invalid pattern kwargs"):
+            ExperimentSpec("gflov", pattern="probe", pattern_kwargs=bad)
+
+
+def test_config_is_built_once_and_shared():
+    """Validation builds the spec's NoCConfig; config(), cache_key() and
+    resolved() reuse that frozen object rather than building another."""
+    from dataclasses import replace
+
+    from repro.harness import default_cycles
+
+    spec = ExperimentSpec("rp", measure=20, seed=4,
+                          overrides={"width": 4, "height": 4})
+    cfg = spec.config()
+    assert cfg is spec.config()
+    assert cfg == NoCConfig(mechanism="rp", seed=4, width=4, height=4)
+    # warmup unset: resolved() pins it without validating again
+    pinned = spec.resolved()
+    assert pinned.config() is cfg
+    assert pinned == replace(spec, warmup=default_cycles()[0])
+    assert spec.cache_key() == pinned.cache_key()
+    assert spec.cache_key()["config"] == cfg.to_dict()
+
+
 def test_workload_args_keys_checked():
     ExperimentSpec("gflov", workload="swaptions",
                    workload_args={"instructions": 100})

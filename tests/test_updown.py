@@ -1,5 +1,7 @@
 """Up*/down* routing table tests (Router Parking substrate)."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,3 +131,78 @@ def test_random_holes_route_or_raise(holes, seed):
         s, t = rng.choice(nodes), rng.choice(nodes)
         path = follow(CFG, tables, s, t)
         assert path[-1] == t and set(path) <= on
+
+
+def reference_build_tables(cfg, on_nodes, root):
+    """The plain BFS over ``(node, has_gone_down)`` tuples that
+    ``build_tables`` replaced — kept as its oracle."""
+    adj = mesh_adjacency(cfg, on_nodes)
+    levels = bfs_levels(adj, root)
+    unreachable = on_nodes - levels.keys()
+    if unreachable:
+        raise ValueError(f"on-subgraph disconnected: {sorted(unreachable)}")
+
+    def is_up(u, v):
+        return (levels[v], v) < (levels[u], u)
+
+    tables = {}
+    for src in on_nodes:
+        table = {src: Direction.LOCAL}
+        best = {(src, False): None}
+        q = deque([(src, False)])
+        while q:
+            u, went_down = q.popleft()
+            first = best[(u, went_down)]
+            for d, v in adj[u].items():
+                up = is_up(u, v)
+                if went_down and up:
+                    continue
+                state = (v, went_down or not up)
+                if state in best:
+                    continue
+                hop = first if first is not None else d
+                best[state] = hop
+                if v not in table:
+                    table[v] = hop
+                q.append(state)
+        missing = on_nodes - table.keys()
+        if missing:
+            raise ValueError(
+                f"up*/down* from {src} cannot reach {sorted(missing)}")
+        tables[src] = table
+    return tables
+
+
+@st.composite
+def connected_layouts(draw):
+    """A mesh shape and a connected on-set grown from a random seed node
+    (so every layout is connected), with a root drawn from it."""
+    width, height = draw(st.sampled_from([(4, 4), (8, 8), (5, 3)]))
+    cfg = NoCConfig(width=width, height=height)
+    full = mesh_adjacency(cfg, frozenset(range(cfg.num_routers)))
+    start = draw(st.integers(0, cfg.num_routers - 1))
+    size = draw(st.integers(1, cfg.num_routers))
+    on = [start]
+    frontier = sorted(full[start].values())
+    while len(on) < size and frontier:
+        nxt = frontier.pop(draw(st.integers(0, len(frontier) - 1)))
+        if nxt in on:
+            continue
+        on.append(nxt)
+        frontier.extend(v for v in full[nxt].values() if v not in on)
+    root = draw(st.sampled_from(sorted(on)))
+    return cfg, frozenset(on), root
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_layouts())
+def test_build_tables_matches_reference(layout):
+    """Same next hops, and the same dict iteration order at both levels,
+    as the tuple-state BFS."""
+    cfg, on, root = layout
+    got = build_tables(cfg, on, root)
+    want = reference_build_tables(cfg, on, root)
+    assert got == want
+    assert list(got) == list(want)
+    for src in want:
+        assert list(got[src].items()) == list(want[src].items())
