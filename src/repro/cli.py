@@ -44,7 +44,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import NoCConfig, PowerConfig, table1_config
+from .config import TECH, NoCConfig, table1_config
 from .registry import KERNELS, MECHANISMS, PATTERNS, load_plugins
 
 
@@ -154,7 +154,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     from .power.overhead import flov_overhead_report
 
     cfg = table1_config()
-    pcfg = PowerConfig()
     print("Table I testbed configuration:")
     print(f"  mesh                {cfg.width}x{cfg.height}")
     print(f"  buffers             {cfg.buffer_depth} flits/VC")
@@ -164,13 +163,13 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"  link                {cfg.link_latency} cycle, "
           f"{cfg.flit_width_bytes} B")
     print(f"  wakeup latency      {cfg.wakeup_latency} cycles")
-    print(f"  gating overhead     {pcfg.gating_overhead_j * 1e12:.1f} pJ")
+    print(f"  gating overhead     {TECH.gating_overhead_j * 1e12:.1f} pJ")
     bd = router_breakdown(cfg)
     print("\nDSENT-like power calibration (32 nm, 2 GHz):")
     print(f"  router static       {bd.baseline_total * 1e3:.2f} mW "
           f"(buffers {bd.buffers * 1e3:.2f}, xbar {bd.crossbar * 1e3:.2f}, "
           f"alloc {bd.allocators * 1e3:.2f}, clock {bd.clock_other * 1e3:.2f})")
-    print(f"  FLOV sleep residual {bd.sleep_residual * 1e3:.3f} mW")
+    print(f"  FLOV sleep residual {bd.flov_overhead * 1e3:.3f} mW")
     print("\nFLOV overhead analysis (paper SS V-A):")
     print(flov_overhead_report(cfg).render())
     return 0

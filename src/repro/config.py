@@ -70,7 +70,8 @@ class NoCConfig:
     wakeup_latency: int = 10
     #: Cycles a flit may wait in a regular VC before being pushed to escape.
     escape_timeout: int = 32
-    #: Column of always-on (AON) routers. -1 means the last (east) column.
+    #: Column of always-on (AON) routers: the east edge, given as -1 or
+    #: ``width - 1`` (the escape network's routing assumes that edge).
     aon_column: int = -1
     #: RP fabric-manager Phase-I reconfiguration stall, in cycles (paper: >700).
     rp_reconfig_latency: int = 700
@@ -96,8 +97,9 @@ class NoCConfig:
                              f"escape VC")
         if self.buffer_depth < 1:
             raise ValueError("buffer depth must be positive")
-        if not (-self.width <= self.aon_column < self.width):
-            raise ValueError("AON column outside mesh")
+        if self.aon_column not in (-1, self.width - 1):
+            raise ValueError("AON column must be the east edge "
+                             "(-1 or width - 1)")
 
     # -- derived quantities -------------------------------------------------
 
@@ -189,47 +191,46 @@ _FIELD_NAMES = tuple(f.name for f in fields(NoCConfig))
 
 @dataclass(frozen=True)
 class PowerConfig:
-    """DSENT-like power/energy model parameters at 32 nm, 2 GHz.
+    """The 32 nm, 2 GHz technology record every run is priced from.
 
-    Static powers are in watts; event energies in joules. Constants are
-    calibrated against published DSENT 32 nm breakdowns for a 5-port,
-    4-VC, 6-deep, 128-bit mesh router (see ``repro.power.dsent``).
+    Event energies are in joules at the 16 B calibration flit width;
+    static densities are in watts per device, calibrated against
+    published DSENT 32 nm breakdowns for a 5-port, 4-VC, 6-deep, 128-bit
+    mesh router.  :data:`TECH` is the one instance the simulator reads;
+    ``repro.power`` turns it into per-configuration prices.
     """
 
     #: Clock frequency in Hz (Table I).
     frequency_hz: float = 2.0e9
-    #: Static power of a fully-on baseline router (buffers+xbar+alloc+clock).
-    router_static_w: float = 4.8e-3
-    #: Static power of one 1 mm 128-bit link (unidirectional).
-    link_static_w: float = 0.9e-3
-    #: Residual static power of a power-gated FLOV router
-    #: (output latches + muxes + HSC + PSRs; ~5% of the router).
-    flov_sleep_static_w: float = 0.24e-3
-    #: Residual static power of a parked RP router (gating transistors only).
-    rp_sleep_static_w: float = 0.10e-3
-    #: Energy per flit buffer write.
-    buffer_write_j: float = 1.26e-12
-    #: Energy per flit buffer read.
-    buffer_read_j: float = 1.10e-12
-    #: Energy per flit crossbar traversal.
-    xbar_j: float = 1.58e-12
-    #: Energy per allocation (VA+SA) event.
-    arbiter_j: float = 0.18e-12
-    #: Energy per flit link traversal (1 mm, 128-bit, 50% switching).
-    link_j: float = 2.00e-12
-    #: Energy per flit FLOV latch traversal (latch write + mux).
-    flov_latch_j: float = 0.35e-12
-    #: Energy overhead of one power-gating on/off transition (Table I).
-    gating_overhead_j: float = 17.7e-12
-    #: Energy per handshake control signal hop (out-of-band wire).
-    handshake_j: float = 0.02e-12
-    #: Energy per relayed credit hop through a sleeping router.
-    credit_relay_j: float = 0.05e-12
+    # energy per event (J) at the 16 B calibration flit width
+    buffer_write_j: float = 1.26e-12      # flit buffer write
+    buffer_read_j: float = 1.10e-12       # flit buffer read
+    xbar_j: float = 1.58e-12              # flit crossbar traversal
+    arbiter_j: float = 0.18e-12           # allocation (VA+SA)
+    link_j: float = 2.00e-12              # flit over 1 mm, 50% switching
+    flov_latch_j: float = 0.35e-12        # FLOV latch write + mux
+    gating_overhead_j: float = 17.7e-12   # gating on/off (Table I)
+    handshake_j: float = 0.02e-12         # handshake signal hop
+    credit_relay_j: float = 0.05e-12      # credit relayed through a sleeper
+    # static power (W) per device
+    buffer_w_per_bit: float = 1.70e-7     # input-buffer bit
+    xbar_w_per_xpoint_bit: float = 2.80e-7  # crossbar crosspoint-bit
+    alloc_w_per_line: float = 3.3e-6      # allocator request line
+    clock_other_fraction: float = 0.22    # clock + control / the rest
+    link_w_per_bit_mm: float = 7.0e-6     # link bit per mm
+    latch_w_per_bit: float = 2.0e-7       # FLOV output-latch bit
+    hsc_psr_w: float = 0.04e-3            # FLOV HSC FSM + 2 sets of PSRs
+    rp_sleep_w: float = 0.10e-3           # parked RP/NoRD router, 16 B 6-deep
 
     @property
     def cycle_time_s(self) -> float:
         """Duration of one clock cycle in seconds."""
         return 1.0 / self.frequency_hz
+
+
+#: The technology record: the only source of every watt and joule the
+#: power model charges.
+TECH = PowerConfig()
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,10 @@ import os
 from bisect import bisect_left
 from time import perf_counter_ns
 
-from ..config import NoCConfig, PowerConfig
+from ..config import TECH, NoCConfig
 from ..core.power_fsm import PowerState
 from ..gating.schedule import GatingSchedule
 from ..power.accounting import EnergyAccountant
-from ..power.dsent import power_config_for
 from ..registry import KERNELS as KERNEL_REGISTRY
 from ..registry import MECHANISMS as MECHANISM_REGISTRY
 from .buffer import VCState
@@ -138,10 +137,11 @@ def deliver_due(wheel: dict[int, list], now: int, *, credits: bool,
 class Network:
     """An ``width x height`` mesh NoC with a pluggable gating mechanism."""
 
-    def __init__(self, cfg: NoCConfig, pcfg: PowerConfig | None = None, *,
-                 keep_samples: bool = False, kernel: str | None = None) -> None:
+    def __init__(self, cfg: NoCConfig, *, keep_samples: bool = False,
+                 kernel: str | None = None) -> None:
         self.cfg = cfg
-        self.pcfg = pcfg if pcfg is not None else power_config_for(cfg)
+        #: the technology record (reports convert joules with its clock)
+        self.pcfg = TECH
         self.kernel = default_kernel() if kernel is None else kernel
         #: resolve the kernel through the registry: built-in entries name
         #: a Network method, plugin entries provide a callable(network)
@@ -164,10 +164,7 @@ class Network:
         #: fault injector (see ``repro.faults``); when None both kernels
         #: and the handshake send path pay one ``is not None`` test
         self._faults = None
-        num_links = 2 * ((cfg.width - 1) * cfg.height
-                         + (cfg.height - 1) * cfg.width)
-        self.accountant = EnergyAccountant(self.pcfg, num_links=num_links,
-                                           num_routers=cfg.num_routers)
+        self.accountant = EnergyAccountant(cfg)
         self.stats = StatsCollector(cfg.router_latency,
                                     keep_samples=keep_samples)
         #: flits currently inside the fabric (input buffers + links);

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import PowerConfig
+from ..config import TECH, NoCConfig
+from .dsent import link_static_w, router_breakdown
 
 
 @dataclass
@@ -40,15 +41,28 @@ class EnergyReport:
 
 
 class EnergyAccountant:
-    """Tracks dynamic events and integrates static power over time."""
+    """Tracks dynamic events and integrates static power over time.
 
-    def __init__(self, pcfg: PowerConfig, *, num_links: int,
-                 num_routers: int) -> None:
-        self.pcfg = pcfg
-        self.num_links = num_links
-        self.num_routers = num_routers
+    The configuration is priced once, here, from :data:`~repro.config.TECH`:
+    static watts per power-state class and the flit-width scale of the
+    datapath event energies.
+    """
+
+    def __init__(self, cfg: NoCConfig) -> None:
+        bd = router_breakdown(cfg)
+        self._scale = cfg.flit_width_bytes / 16.0
+        #: static watts of one router in each power-state class, one link
+        self.router_w = bd.baseline_total
+        self.flov_sleep_w = bd.flov_overhead
+        self.rp_sleep_w = (TECH.rp_sleep_w * self._scale
+                           * (cfg.buffer_depth / 6.0))
+        self.link_w = link_static_w(cfg)
+        #: unidirectional mesh links
+        self.num_links = 2 * ((cfg.width - 1) * cfg.height
+                              + (cfg.height - 1) * cfg.width)
+        self.num_routers = cfg.num_routers
         #: population counts by power state class
-        self.n_on = num_routers
+        self.n_on = self.num_routers
         self.n_flov_sleep = 0
         self.n_rp_sleep = 0
         self._last_sync = 0
@@ -59,17 +73,16 @@ class EnergyAccountant:
     # -- static integration ----------------------------------------------------
 
     def _static_power_now(self) -> float:
-        p = self.pcfg
-        return (self.n_on * p.router_static_w
-                + self.n_flov_sleep * p.flov_sleep_static_w
-                + self.n_rp_sleep * p.rp_sleep_static_w
-                + self.num_links * p.link_static_w)
+        return (self.n_on * self.router_w
+                + self.n_flov_sleep * self.flov_sleep_w
+                + self.n_rp_sleep * self.rp_sleep_w
+                + self.num_links * self.link_w)
 
     def sync(self, now: int) -> None:
         """Integrate static energy up to cycle ``now`` with current counts."""
         dt = now - self._last_sync
         if dt > 0:
-            self._static_j += dt * self.pcfg.cycle_time_s * self._static_power_now()
+            self._static_j += dt * TECH.cycle_time_s * self._static_power_now()
             self._last_sync = now
 
     def note_transition(self, now: int, *, frm: str, to: str) -> None:
@@ -138,15 +151,16 @@ class EnergyAccountant:
 
     @property
     def dynamic_j(self) -> float:
-        p = self.pcfg
-        return (self.buffer_writes * p.buffer_write_j
-                + self.buffer_reads * p.buffer_read_j
-                + self.xbar_traversals * p.xbar_j
-                + self.arbitrations * p.arbiter_j
-                + self.link_traversals * p.link_j
-                + self.flov_latches * p.flov_latch_j
-                + self.credit_relays * p.credit_relay_j
-                + self.handshake_hops * p.handshake_j)
+        # datapath energies scale with flit width; control ones do not
+        t, s = TECH, self._scale
+        return (self.buffer_writes * (t.buffer_write_j * s)
+                + self.buffer_reads * (t.buffer_read_j * s)
+                + self.xbar_traversals * (t.xbar_j * s)
+                + self.arbitrations * t.arbiter_j
+                + self.link_traversals * (t.link_j * s)
+                + self.flov_latches * (t.flov_latch_j * s)
+                + self.credit_relays * t.credit_relay_j
+                + self.handshake_hops * t.handshake_j)
 
     def report(self, now: int) -> EnergyReport:
         """Energy totals for the window ending at cycle ``now``."""
@@ -155,7 +169,7 @@ class EnergyAccountant:
             cycles=now - self._window_start,
             static_j=self._static_j,
             dynamic_j=self.dynamic_j,
-            gating_j=self.gating_events * self.pcfg.gating_overhead_j,
+            gating_j=self.gating_events * TECH.gating_overhead_j,
         )
 
     # -- SimSnapshot protocol -------------------------------------------------
@@ -178,5 +192,10 @@ class EnergyAccountant:
         self._last_sync = data["last_sync"]
         self._window_start = data["window_start"]
         self._static_j = data["static_j"]
-        for name, value in data["counters"].items():
-            setattr(self, name, value)
+        # exactly the event counters, so a checkpoint cannot re-price a run
+        from ..noc.snapshot import require
+        counters, names = data["counters"], self.counters().keys()
+        require(counters.keys() == names, f"accountant counters "
+                f"{sorted(counters)} are not {sorted(names)}")
+        for name in names:
+            setattr(self, name, counters[name])

@@ -2,36 +2,24 @@
 
 DSENT itself is a gate-level-calibrated analytical tool; we reproduce its
 *structure* — per-component static power proportional to device count,
-per-event dynamic energy proportional to switched capacitance — with
-constants calibrated against published DSENT 32 nm breakdowns for mesh
-routers (Sun et al., NOCS 2012; and the breakdowns used by the NoC
-power-gating literature: input buffers dominate static power, followed by
-the crossbar and allocators).
+per-event dynamic energy proportional to switched capacitance — with the
+densities of :data:`repro.config.TECH`, calibrated against published
+DSENT 32 nm breakdowns for mesh routers (Sun et al., NOCS 2012; and the
+breakdowns used by the NoC power-gating literature: input buffers
+dominate static power, followed by the crossbar and allocators).
 
-The calibration anchor: a 5-port, 4-VC (3 regular + 1 escape), 6-deep,
-128-bit router at 32 nm / 2 GHz consumes ~4.8 mW static; one 1 mm
-128-bit link ~0.9 mW. Absolute values carry model uncertainty; the
-paper's results (and ours) are relative comparisons.
+At Table I (a 5-port, 4-VC (3 regular + 1 escape), 6-deep, 128-bit
+router) the model yields 4.460 mW static per router, 0.896 mW per 1 mm
+128-bit link and a 0.142 mW FLOV sleep residual. Absolute values carry
+model uncertainty; the paper's results (and ours) are relative
+comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import NoCConfig, PowerConfig
-
-# Per-device static-power densities at 32 nm (W per bit of storage /
-# per crossbar crosspoint-bit / per arbiter request line).
-_BUFFER_W_PER_BIT = 1.70e-7
-_XBAR_W_PER_XPOINT_BIT = 2.80e-7
-_ALLOC_W_PER_LINE = 3.3e-6
-_CLOCK_OTHER_FRACTION = 0.22  # clock tree + control as fraction of the rest
-_LINK_W_PER_BIT_MM = 7.0e-6
-
-#: FLOV additions (Section V-A): 4 output latches (flit-wide), 4 mux +
-#: 4 demux, HSC FSM + 2x4x2-bit PSRs. Roughly 3% of router area.
-_LATCH_W_PER_BIT = 2.0e-7
-_HSC_PSR_W = 0.04e-3
+from ..config import TECH, NoCConfig
 
 
 @dataclass(frozen=True)
@@ -42,21 +30,14 @@ class RouterPowerBreakdown:
     crossbar: float
     allocators: float
     clock_other: float
+    #: FLOV additions (Section V-A): 4 flit-wide output latches, 4 mux +
+    #: 4 demux, HSC FSM + 2x4x2-bit PSRs.  They stay on while the
+    #: baseline portion is power-gated, so this is the sleep residual.
     flov_overhead: float
 
     @property
     def baseline_total(self) -> float:
         return self.buffers + self.crossbar + self.allocators + self.clock_other
-
-    @property
-    def total(self) -> float:
-        return self.baseline_total + self.flov_overhead
-
-    @property
-    def sleep_residual(self) -> float:
-        """Static power left when the baseline portion is power-gated:
-        the FLOV latches/muxes/HSC stay on."""
-        return self.flov_overhead
 
 
 def router_breakdown(cfg: NoCConfig) -> RouterPowerBreakdown:
@@ -64,41 +45,17 @@ def router_breakdown(cfg: NoCConfig) -> RouterPowerBreakdown:
     ports = 5
     flit_bits = cfg.flit_width_bytes * 8
     buffer_bits = ports * cfg.total_vcs * cfg.buffer_depth * flit_bits
-    buffers = buffer_bits * _BUFFER_W_PER_BIT
-    crossbar = ports * ports * flit_bits * _XBAR_W_PER_XPOINT_BIT
+    buffers = buffer_bits * TECH.buffer_w_per_bit
+    crossbar = ports * ports * flit_bits * TECH.xbar_w_per_xpoint_bit
     alloc_lines = ports * cfg.total_vcs + ports * ports
-    allocators = alloc_lines * _ALLOC_W_PER_LINE
-    clock_other = (buffers + crossbar + allocators) * _CLOCK_OTHER_FRACTION
-    flov = 4 * flit_bits * _LATCH_W_PER_BIT + _HSC_PSR_W
+    allocators = alloc_lines * TECH.alloc_w_per_line
+    clock_other = (buffers + crossbar + allocators) * TECH.clock_other_fraction
+    flov = 4 * flit_bits * TECH.latch_w_per_bit + TECH.hsc_psr_w
     return RouterPowerBreakdown(buffers=buffers, crossbar=crossbar,
                                 allocators=allocators, clock_other=clock_other,
                                 flov_overhead=flov)
 
 
-def link_static_w(cfg: NoCConfig, length_mm: float = 1.0) -> float:
-    """Static power of one unidirectional link."""
-    return cfg.flit_width_bytes * 8 * length_mm * _LINK_W_PER_BIT_MM
-
-
-def power_config_for(cfg: NoCConfig) -> PowerConfig:
-    """Build a :class:`PowerConfig` whose static powers are derived from
-    the NoC configuration via the DSENT-like model.
-
-    Dynamic per-event energies keep their Table-I-era defaults, scaled
-    by flit width relative to the 16-byte calibration point.
-    """
-    bd = router_breakdown(cfg)
-    base = PowerConfig()
-    scale = cfg.flit_width_bytes / 16.0
-    depth_scale = cfg.buffer_depth / 6.0
-    return PowerConfig(
-        router_static_w=bd.baseline_total,
-        link_static_w=link_static_w(cfg),
-        flov_sleep_static_w=bd.sleep_residual,
-        rp_sleep_static_w=base.rp_sleep_static_w * scale * depth_scale,
-        buffer_write_j=base.buffer_write_j * scale,
-        buffer_read_j=base.buffer_read_j * scale,
-        xbar_j=base.xbar_j * scale,
-        link_j=base.link_j * scale,
-        flov_latch_j=base.flov_latch_j * scale,
-    )
+def link_static_w(cfg: NoCConfig) -> float:
+    """Static power of one unidirectional 1 mm link."""
+    return cfg.flit_width_bytes * 8 * TECH.link_w_per_bit_mm

@@ -287,6 +287,26 @@ def test_v1_checkpoint_from_parent_commit_resumes(mechanism, kernel):
     assert again["mech"].keys() == payload["net"]["mech"].keys()
 
 
+@pytest.mark.parametrize("edit", ["add_price", "drop_counter"])
+def test_restore_refuses_counters_other_than_the_accountants(edit):
+    """A checkpoint restores exactly the accountant's event counters: one
+    that names a price (``router_w``) or lacks a counter is refused
+    instead of silently re-pricing or half-restoring the run."""
+    payload = json.loads((FIXTURES / "ckpt_v1_gflov.json").read_text())
+    counters = payload["net"]["accountant"]["counters"]
+    if edit == "add_price":
+        counters["router_w"] = 0.0
+    else:
+        del counters["arbitrations"]
+    spec = ExperimentSpec(**payload["spec"])
+    net = Network(spec.config())
+    with pytest.raises(SnapshotError, match="accountant counters"):
+        net.restore_state(payload["net"])
+    assert net.accountant.router_w > 0
+    with pytest.raises(SnapshotError):
+        run_spec(spec, resume_from=payload)
+
+
 # -- atomic-io primitives the checkpoint layer is built on -------------------
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import MECHANISMS, NoCConfig, PowerConfig, SystemConfig, table1_config
+from repro.config import (MECHANISMS, TECH, NoCConfig, PowerConfig,
+                          SystemConfig, table1_config)
 
 
 def test_table1_defaults():
@@ -43,10 +44,14 @@ def test_buffer_depth_validation():
 
 
 def test_aon_column_resolution():
+    """The escape network assumes the east edge: -1 and width - 1 name it;
+    any other column, in the mesh or not, is refused."""
     assert NoCConfig().resolved_aon_column == 7
-    assert NoCConfig(aon_column=3).resolved_aon_column == 3
-    with pytest.raises(ValueError):
-        NoCConfig(aon_column=9)
+    assert NoCConfig(aon_column=7).resolved_aon_column == 7
+    assert NoCConfig(width=5, aon_column=4).resolved_aon_column == 4
+    for column in (3, 0, -8, -2, 8, 9):
+        with pytest.raises(ValueError):
+            NoCConfig(aon_column=column)
 
 
 def test_node_coordinate_roundtrip():
@@ -76,8 +81,8 @@ def test_with_replacement():
 
 
 def test_power_config_cycle_time():
-    p = PowerConfig()
-    assert p.cycle_time_s == pytest.approx(0.5e-9)
+    assert TECH == PowerConfig()
+    assert TECH.cycle_time_s == pytest.approx(0.5e-9)
 
 
 def test_system_config_validation():

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import NoCConfig, PowerConfig, table1_config
+from repro.config import TECH, NoCConfig, table1_config
 from repro.fullsystem import PARSEC
 from repro.gating.schedule import random_epochs
 from repro.harness import (FIGURE_MECHANISMS, ParallelSweep, SweepTask,
@@ -54,12 +54,13 @@ def figure(name: str, rate: float):
 # -- Table I and SS V-A --------------------------------------------------------
 
 def test_table1_configuration():
-    cfg, pcfg = table1_config(), PowerConfig()
+    cfg = table1_config()
     assert (cfg.width, cfg.height) == (8, 8)
     assert cfg.buffer_depth == 6 and cfg.router_latency == 3
     assert cfg.num_vcs == 3 and cfg.escape_vcs == 1
     assert cfg.wakeup_latency == 10
-    assert pcfg.gating_overhead_j == 17.7e-12
+    assert TECH.gating_overhead_j == 17.7e-12
+    assert TECH.frequency_hz == 2.0e9
 
 
 def test_overhead_analysis():

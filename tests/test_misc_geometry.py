@@ -93,6 +93,5 @@ def test_wide_flits_config():
         net.step()
     assert pkt.eject_time > 0
     # wider datapath -> higher static power
-    from repro.power.dsent import power_config_for
-    assert (power_config_for(cfg).router_static_w
-            > power_config_for(NoCConfig()).router_static_w)
+    from repro.power.accounting import EnergyAccountant
+    assert net.accountant.router_w > EnergyAccountant(NoCConfig()).router_w
