@@ -118,15 +118,6 @@ def test_parsec_reports_bad_names_as_error(capsys, monkeypatch, flag,
     assert "repro parsec: error:" in capsys.readouterr().err
 
 
-def test_trace_roundtrip(tmp_path, capsys):
-    trace = tmp_path / "t.txt"
-    rc, out = run_cli(capsys, "trace", "--record", str(trace),
-                      "--measure", "1500", "--rate", "0.02")
-    assert rc == 0 and "recorded" in out
-    rc, out = run_cli(capsys, "trace", "--replay", str(trace))
-    assert rc == 0 and "replayed" in out
-
-
 def test_parser_rejects_unknown_mechanism():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "-m", "nope"])

@@ -1,5 +1,5 @@
-"""Cross-mechanism comparisons on identical traffic (trace-replayed), so
-differences come from the mechanism, not sampling noise."""
+"""Cross-mechanism comparisons on identical traffic (one fixed packet
+list), so differences come from the mechanism, not sampling noise."""
 
 import random
 
@@ -7,10 +7,10 @@ import pytest
 
 from repro import NoCConfig, Network
 from repro.gating.schedule import EpochGating
-from repro.traffic.trace import TracePlayer
 
 
 def make_trace(seed=12, packets=150, horizon=3000, nodes=64, gated=()):
+    """``(cycle, src, dest, size, vnet)`` records, sorted by cycle."""
     rng = random.Random(seed)
     active = [n for n in range(nodes) if n not in set(gated)]
     trace = []
@@ -31,9 +31,15 @@ def run_mech(mech, trace):
     net.set_gating(EpochGating([(0, GATED)]))
     for _ in range(600):
         net.step()
-    player = TracePlayer(net, trace)
-    horizon = trace[-1][0] + 1
-    player.run(horizon)
+    # each record is injected at its absolute cycle, or at once if that
+    # cycle has passed; then the mesh runs to cycle 600 + last record + 1
+    end = net.cycle + trace[-1][0] + 1
+    for cycle, src, dest, size, vnet in trace:
+        while net.cycle < cycle:
+            net.step()
+        net.inject_packet(src, dest, size, vnet=vnet)
+    while net.cycle < end:
+        net.step()
     for _ in range(30_000):
         net.step()
         if net.stats.packets_ejected == net.stats.packets_injected:
