@@ -11,8 +11,7 @@ Public API::
 from .config import MECHANISMS, NoCConfig, PowerConfig, SystemConfig, table1_config
 from .gating import EpochGating, GatingSchedule, StaticGating
 from .noc import Direction, Network, Packet, StatsCollector
-from .registry import (KERNELS, PATTERNS, SCHEDULES, WORKLOADS, Registry,
-                       load_plugins)
+from .registry import KERNELS, PATTERNS, SCHEDULES, WORKLOADS, Registry
 from .spec import ExperimentSpec, SpecError, SweepSpec, load_spec_file
 from .traffic import TrafficGenerator, get_pattern
 
@@ -24,6 +23,5 @@ __all__ = [
     "TrafficGenerator", "get_pattern",
     "GatingSchedule", "StaticGating", "EpochGating",
     "Registry", "KERNELS", "PATTERNS", "SCHEDULES", "WORKLOADS",
-    "load_plugins",
     "ExperimentSpec", "SweepSpec", "SpecError", "load_spec_file",
 ]

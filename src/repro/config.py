@@ -25,11 +25,8 @@ from typing import Any
 
 from .registry import MECHANISMS as _MECHANISM_REGISTRY
 
-#: Power-gating / routing mechanisms implemented by the simulator — a
-#: snapshot of the mechanism registry's built-in entries, in
-#: registration order.  Validation goes through the live registry, so
-#: plugin mechanisms (``REPRO_PLUGINS``) are accepted even though they
-#: are not part of this tuple.
+#: Power-gating / routing mechanisms implemented by the simulator — the
+#: mechanism registry's entries, in registration order.
 MECHANISMS = _MECHANISM_REGISTRY.names()
 
 

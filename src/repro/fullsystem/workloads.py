@@ -104,7 +104,6 @@ PARSEC: dict[str, WorkloadProfile] = {
 
 
 # every profile registers itself; the registry is the lookup authority
-# (plugin workloads from REPRO_PLUGINS join it without touching PARSEC)
 for _profile in PARSEC.values():
     WORKLOAD_REGISTRY.register(_profile.name, _profile)
 del _profile

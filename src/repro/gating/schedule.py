@@ -128,8 +128,8 @@ def random_epochs(num_nodes: int, fractions: Sequence[float],
 #
 # Each builder takes ``(cfg, args)`` — the experiment's NoCConfig plus
 # the spec's schedule mapping minus its "kind" key — and returns a
-# GatingSchedule.  Registered on repro.registry.SCHEDULES so the spec
-# layer, CLI and plugins share one name space.
+# GatingSchedule.  Registered on repro.registry.SCHEDULES, the spec
+# layer's one name space for schedule kinds.
 
 @SCHEDULE_REGISTRY.register("none")
 def _build_none(cfg: Any, args: Mapping[str, Any]) -> GatingSchedule:

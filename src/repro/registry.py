@@ -1,6 +1,6 @@
 """Typed component registries: the single source of component names.
 
-Every pluggable component family in the simulator — gating
+Every component family in the simulator — gating
 *mechanisms*, traffic *patterns*, PARSEC *workloads*, simulation
 *kernels*, and OS gating *schedules* — is named in exactly one place:
 the :class:`Registry` instances defined here.  Every other layer
@@ -29,35 +29,11 @@ Error contract
   whose message lists the valid choices.  Both are ``ValueError``
   subclasses, so existing ``except ValueError`` call sites keep
   working.
-
-Plugins
--------
-
-Third-party components register themselves through the
-``REPRO_PLUGINS`` environment variable: a comma-separated list of
-importable module names.  Each module is imported exactly once (on the
-first failed lookup, or eagerly via :func:`load_plugins`) and is
-expected to call ``register`` on the registries it extends::
-
-    # my_patterns.py
-    from repro.registry import PATTERNS
-
-    @PATTERNS.register("diagonal")
-    def make_diagonal(cfg):
-        def pattern(src, active, rng):
-            ...
-        return pattern
-
-    $ REPRO_PLUGINS=my_patterns repro run --pattern diagonal
-
-See ``docs/specs.md`` for a worked example.
 """
 
 from __future__ import annotations
 
 import importlib
-import os
-import warnings
 from typing import Any, Callable, Generic, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -145,14 +121,11 @@ class Registry(Generic[T]):
     def get(self, name: str) -> T:
         """The component registered under ``name``.
 
-        Resolves lazy entries (importing their module), consults
-        ``REPRO_PLUGINS`` on a miss, and raises
-        :class:`UnknownComponentError` listing the valid choices when
-        the name is still unknown.
+        Resolves lazy entries (importing their module) and raises
+        :class:`UnknownComponentError` listing the valid choices for an
+        unknown name.
         """
         self._ensure_populated()
-        if name not in self._entries and name not in self._lazy:
-            load_plugins()
         try:
             return self._entries[name]
         except KeyError:
@@ -170,9 +143,8 @@ class Registry(Generic[T]):
     def names(self) -> tuple[str, ...]:
         """All registered names, in registration order.
 
-        Does *not* trigger plugin loading (call :func:`load_plugins`
-        first to include plugin components); does trigger the
-        ``populate`` import so self-registering families are complete.
+        Triggers the ``populate`` import so self-registering families
+        are complete.
         """
         self._ensure_populated()
         return tuple(self._order)
@@ -185,9 +157,6 @@ class Registry(Generic[T]):
 
     def __contains__(self, name: object) -> bool:
         self._ensure_populated()
-        if name in self._entries or name in self._lazy:
-            return True
-        load_plugins()
         return name in self._entries or name in self._lazy
 
     def __iter__(self) -> Iterator[str]:
@@ -199,47 +168,6 @@ class Registry(Generic[T]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Registry {self.kind}: {self.names()}>"
-
-
-# -- plugin loading -----------------------------------------------------------
-
-#: modules already imported through REPRO_PLUGINS (guards re-imports and
-#: reentrant loads while a plugin module is mid-import)
-_loaded_plugins: set[str] = set()
-_loading = False
-
-
-def load_plugins(env: str | None = None) -> tuple[str, ...]:
-    """Import the modules named in ``REPRO_PLUGINS`` (comma-separated).
-
-    Each module is imported at most once per process; at import time it
-    registers its components on the registries below.  A module that
-    fails to import is reported as a :class:`RuntimeWarning` and
-    skipped — a broken plugin never takes the simulator down.  Returns
-    the names of the modules imported *by this call*.
-    """
-    global _loading
-    spec = os.environ.get("REPRO_PLUGINS", "") if env is None else env
-    if not spec or _loading:
-        return ()
-    imported: list[str] = []
-    _loading = True
-    try:
-        for mod in spec.split(","):
-            mod = mod.strip()
-            if not mod or mod in _loaded_plugins:
-                continue
-            _loaded_plugins.add(mod)
-            try:
-                importlib.import_module(mod)
-            except Exception as exc:  # noqa: BLE001 - isolate plugin faults
-                warnings.warn(f"REPRO_PLUGINS: could not import {mod!r}: "
-                              f"{exc}", RuntimeWarning, stacklevel=2)
-            else:
-                imported.append(mod)
-    finally:
-        _loading = False
-    return tuple(imported)
 
 
 # -- the registries -----------------------------------------------------------
@@ -265,8 +193,7 @@ PATTERNS: Registry[Callable[..., Any]] = Registry(
 WORKLOADS: Registry[Any] = Registry(
     "PARSEC workload", populate="repro.fullsystem.workloads")
 
-#: simulation kernels: name -> Network step-method attribute (str) or a
-#: callable ``(network) -> None``; plugin kernels register callables
+#: simulation kernels: name -> Network step-method attribute
 KERNELS: Registry[Any] = Registry("simulation kernel")
 KERNELS.register("active", "_step_active")
 KERNELS.register("dense", "_step_dense")

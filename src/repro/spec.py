@@ -26,11 +26,10 @@ Spec files are JSON or TOML mappings of the dataclass fields
     gated_fraction = 0.4
 
 Validation is strict: component names are checked against the
-:mod:`repro.registry` registries (so ``REPRO_PLUGINS`` components
-validate too), pattern kwargs are bound against the factory signature,
-config overrides against :class:`~repro.config.NoCConfig`, and every
-value must be canonically JSON-serializable so
-:meth:`ExperimentSpec.stable_hash` is well defined.
+:mod:`repro.registry` registries, pattern kwargs are bound against the
+factory signature, config overrides against
+:class:`~repro.config.NoCConfig`, and every value must be canonically
+JSON-serializable so :meth:`ExperimentSpec.stable_hash` is well defined.
 """
 
 from __future__ import annotations
@@ -87,24 +86,15 @@ def _check_mapping(value: Any, where: str) -> dict[str, Any]:
 
 
 @functools.lru_cache(maxsize=None)
-def _factory_signature(factory: Any) -> inspect.Signature | None:
+def _factory_signature(factory: Any) -> inspect.Signature:
     """Signature of a pattern factory, read once per factory object (a
     name re-registered with another factory gets its own entry)."""
-    try:
-        return inspect.signature(factory)
-    except (TypeError, ValueError):  # pragma: no cover - exotic plugin
-        return None
+    return inspect.signature(factory)
 
 
 def _validate_pattern_kwargs(pattern: str, kwargs: dict[str, Any]) -> None:
     """Bind ``kwargs`` against the pattern factory's signature."""
-    factory = registry.PATTERNS.get(pattern)
-    try:
-        sig = _factory_signature(factory)
-    except TypeError:  # pragma: no cover - unhashable plugin callable
-        sig = _factory_signature.__wrapped__(factory)
-    if sig is None:
-        return
+    sig = _factory_signature(registry.PATTERNS.get(pattern))
     try:
         sig.bind(None, **kwargs)  # first positional is the NoCConfig
     except TypeError as exc:

@@ -1,15 +1,12 @@
-"""Registry error paths, lazy entries, plugin loading, and the contents
-of the built-in component registries (``src/repro/registry.py``)."""
-
-import sys
-import textwrap
+"""Registry error paths, lazy entries, and the contents of the built-in
+component registries (``src/repro/registry.py``)."""
 
 import pytest
 
 from repro import config
 from repro.registry import (KERNELS, MECHANISMS, PATTERNS, SCHEDULES,
                             WORKLOADS, DuplicateComponentError, Registry,
-                            UnknownComponentError, load_plugins)
+                            UnknownComponentError)
 
 
 # -- Registry mechanics -------------------------------------------------------
@@ -104,98 +101,3 @@ def test_schedule_registry_builders():
 def test_workload_registry_matches_parsec():
     from repro.fullsystem.workloads import PARSEC
     assert set(WORKLOADS.names()) == set(PARSEC)
-
-
-# -- plugin loading -----------------------------------------------------------
-
-@pytest.fixture
-def plugin_dir(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(tmp_path))
-    return tmp_path
-
-
-def _cleanup_pattern(name):
-    PATTERNS._entries.pop(name, None)
-    PATTERNS._lazy.pop(name, None)
-    if name in PATTERNS._order:
-        PATTERNS._order.remove(name)
-
-
-def test_plugin_module_registers_components(plugin_dir, monkeypatch):
-    mod = "repro_test_plugin_ok"
-    (plugin_dir / f"{mod}.py").write_text(textwrap.dedent("""
-        from repro.registry import PATTERNS
-
-        @PATTERNS.register("plugtest_diag")
-        def make_plugtest_diag(cfg):
-            def pattern(src, active, rng):
-                return src
-            return pattern
-    """))
-    monkeypatch.setenv("REPRO_PLUGINS", mod)
-    try:
-        assert mod in load_plugins()
-        assert "plugtest_diag" in PATTERNS
-        fn = PATTERNS.get("plugtest_diag")
-        assert fn is sys.modules[mod].make_plugtest_diag
-        # second call is a no-op (already imported)
-        assert load_plugins() == ()
-    finally:
-        _cleanup_pattern("plugtest_diag")
-
-
-def test_plugin_components_usable_from_spec(plugin_dir, monkeypatch):
-    mod = "repro_test_plugin_spec"
-    (plugin_dir / f"{mod}.py").write_text(textwrap.dedent("""
-        from repro.registry import PATTERNS
-
-        @PATTERNS.register("plugtest_self")
-        def make_plugtest_self(cfg):
-            def pattern(src, active, rng):
-                return src
-            return pattern
-    """))
-    monkeypatch.setenv("REPRO_PLUGINS", mod)
-    try:
-        load_plugins()
-        from repro.spec import ExperimentSpec
-        spec = ExperimentSpec("gflov", pattern="plugtest_self")
-        assert spec.pattern == "plugtest_self"
-    finally:
-        _cleanup_pattern("plugtest_self")
-
-
-def test_broken_plugin_warns_and_is_skipped(plugin_dir, monkeypatch):
-    mod = "repro_test_plugin_broken"
-    (plugin_dir / f"{mod}.py").write_text("raise RuntimeError('boom')\n")
-    monkeypatch.setenv("REPRO_PLUGINS", mod)
-    with pytest.warns(RuntimeWarning, match="could not import"):
-        imported = load_plugins()
-    assert mod not in imported
-    # the simulator stays functional
-    assert "uniform" in PATTERNS
-
-
-def test_missing_plugin_module_warns(monkeypatch):
-    monkeypatch.setenv("REPRO_PLUGINS", "repro_no_such_plugin_xyz")
-    with pytest.warns(RuntimeWarning, match="could not import"):
-        assert load_plugins() == ()
-
-
-def test_lookup_miss_triggers_plugin_load(plugin_dir, monkeypatch):
-    mod = "repro_test_plugin_lazyload"
-    (plugin_dir / f"{mod}.py").write_text(textwrap.dedent("""
-        from repro.registry import PATTERNS
-
-        @PATTERNS.register("plugtest_lazy")
-        def make_plugtest_lazy(cfg):
-            def pattern(src, active, rng):
-                return src
-            return pattern
-    """))
-    monkeypatch.setenv("REPRO_PLUGINS", mod)
-    try:
-        # no explicit load_plugins(): the failed lookup consults the env
-        assert PATTERNS.get("plugtest_lazy") is not None
-    finally:
-        _cleanup_pattern("plugtest_lazy")
