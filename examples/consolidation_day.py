@@ -30,8 +30,8 @@ def simulate(mechanism: str) -> dict:
     for _ in range(3_000):                 # drain
         net.step()
     rep = net.accountant.report(net.cycle)
-    worst_window = max(lat for _, lat in
-                       net.stats.windowed_latency(PHASE_LEN // 8))
+    worst_window = max(w.avg for w in
+                       net.stats.latency_windows(PHASE_LEN // 8))
     return {
         "latency": net.stats.avg_latency,
         "worst_window": worst_window,

@@ -278,9 +278,6 @@ class NordMechanism(Mechanism):
             return dec
         return HOLD  # step() diverts it onto the ring once complete
 
-    def request_wakeup(self, router: "Router", target: int, now: int) -> None:
-        pass  # the ring delivers to gated nodes; no wakeups needed
-
     def on_local_inject_blocked(self, router: "Router") -> None:
         # NoRD's NI is decoupled: outbound packets of a gated node enter
         # the bypass ring directly through the injection channel

@@ -1,17 +1,10 @@
 """The paper's contribution: FLOV routers, handshakes, dynamic routing.
 
-Heavy submodules are imported lazily to avoid import cycles with the NoC
-substrate (which needs ``repro.core.routing`` at import time).
+The mechanisms live in ``repro.core.flov``, which is not imported here:
+the NoC substrate needs ``repro.core.routing`` at import time, and
+importing ``flov`` from this package would close an import cycle.
 """
 from .power_fsm import PowerState
 from .routing import escape_route, flov_route
 
-__all__ = ["FlovMechanism", "RFlovMechanism", "GFlovMechanism",
-           "PowerState", "flov_route", "escape_route"]
-
-
-def __getattr__(name):
-    if name in ("FlovMechanism", "RFlovMechanism", "GFlovMechanism"):
-        from . import flov
-        return getattr(flov, name)
-    raise AttributeError(name)
+__all__ = ["PowerState", "flov_route", "escape_route"]

@@ -8,7 +8,7 @@ values (coherence correctness is checked structurally in tests).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Iterator, TypeVar
+from typing import Generic, TypeVar
 
 S = TypeVar("S")
 
@@ -66,7 +66,3 @@ class SetAssocCache(Generic[S]):
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    def items(self) -> Iterator[tuple[int, S]]:
-        for s in self._sets:
-            yield from s.items()

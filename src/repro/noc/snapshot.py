@@ -17,9 +17,11 @@ Every stateful simulator component implements the paired methods
     aliased between neighboring routers) and files one entry per
     in-flight channel item into the owning kernel's timing wheels.
 
-The module-level entry points :func:`snapshot_network` /
-:func:`restore_network` add the versioned envelope.  The golden
-contract, enforced by ``tests/test_checkpoint.py``: for any cycle C,
+:meth:`Network.snapshot_state <repro.noc.network.Network.snapshot_state>`
+freezes a whole mesh; :func:`repro.harness.runner.run_spec` wraps it in
+the versioned checkpoint envelope (:mod:`repro.harness.checkpoint`).
+The golden contract, enforced by ``tests/test_checkpoint.py``: for any
+cycle C,
 
     run to horizon  ≡  snapshot at C → restore → run the remainder
 
@@ -37,19 +39,15 @@ that to a warning + recompute).
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..core.power_fsm import PowerState
 from .types import Direction, Flit, Packet
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .network import Network
-
 __all__ = ["SNAPSHOT_SCHEMA_VERSION", "SnapshotError", "PacketTable",
-           "PacketIndex", "check_schema", "snapshot_network",
-           "restore_network", "encode_rng", "decode_rng", "encode_flit",
-           "decode_flit", "encode_dirmap", "decode_dirmap", "encode_value",
-           "decode_value"]
+           "PacketIndex", "check_schema", "encode_rng", "decode_rng",
+           "encode_flit", "decode_flit", "encode_dirmap", "decode_dirmap",
+           "encode_value", "decode_value"]
 
 #: bump when the snapshot layout or simulator semantics change
 #: incompatibly; stale snapshots are then rejected with SnapshotError
@@ -189,29 +187,3 @@ def decode_flit(data: list, pkts: PacketIndex) -> Flit:
                 is_tail=index == pkt.size - 1, vc=vc,
                 in_dir=Direction(in_dir), ready=ready,
                 buffered_at=buffered_at, escape=escape)
-
-
-# -- network-level entry points -----------------------------------------------
-
-def snapshot_network(net: "Network") -> dict[str, Any]:
-    """Freeze ``net`` into a versioned, JSON-serializable snapshot.
-
-    Must be called *between* cycles (never from inside a step); every
-    in-flight channel arrival is then >= ``net.cycle`` and restore can
-    re-register the timing wheels purely from channel queues.
-    """
-    return {"schema": SNAPSHOT_SCHEMA_VERSION, "kind": "network",
-            "net": net.snapshot_state()}
-
-
-def restore_network(net: "Network", data: dict[str, Any]) -> None:
-    """Rebuild ``net`` from :func:`snapshot_network` output.
-
-    ``net`` must be freshly constructed from the *same*
-    :class:`~repro.config.NoCConfig` (mechanism, topology, seeds); a
-    mismatched or stale snapshot raises :class:`SnapshotError`.  The
-    kernel may differ from the one that took the snapshot — wheels are
-    rebuilt for whatever kernel ``net`` runs.
-    """
-    check_schema(data, kind="network")
-    net.restore_state(data["net"])

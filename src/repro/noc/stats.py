@@ -162,17 +162,6 @@ class StatsCollector:
         return LatencyBreakdown(router=router, link=link, serialization=ser,
                                 flov=flov, contention=max(0.0, contention))
 
-    def windowed_latency(self, window: int) -> list[tuple[int, float]]:
-        """Average latency per time window; requires ``keep_samples``.
-
-        Back-compat wrapper around :meth:`latency_windows` returning the
-        historical ``(window_start, avg)`` pairs.  Note the final pair
-        may cover a *partial* window (the run rarely ends exactly on a
-        window boundary) — use :meth:`latency_windows` when that
-        distinction matters.
-        """
-        return [(w.start, w.avg) for w in self.latency_windows(window)]
-
     def latency_windows(self, window: int,
                         end: int | None = None) -> list[LatencyWindow]:
         """Aggregate the latency samples into :class:`LatencyWindow` rows.

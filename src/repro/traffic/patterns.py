@@ -137,13 +137,6 @@ def _active_set(active: Sequence[int]) -> frozenset[int]:
     return _active_cache[1]
 
 
-#: legacy mapping view of the built-in factories (the registry is the
-#: authority; plugin patterns registered later do not appear here —
-#: resolve those through ``repro.registry.PATTERNS`` / get_pattern)
-PATTERNS: dict[str, Callable[..., PatternFn]] = {
-    name: PATTERN_REGISTRY.get(name) for name in PATTERN_REGISTRY.names()}
-
-
 def get_pattern(name: str, cfg: NoCConfig, **kwargs: object) -> PatternFn:
     """Look up a pattern factory in the registry and build it.
 

@@ -136,10 +136,10 @@ def test_fig10_reconfiguration_spike():
         sc = StatsCollector(3, keep_samples=True)
         sc.samples = res.samples
         sc.measured_packets = 1  # enable windowing
-        series = sc.windowed_latency(window)
-        after = [lat for t, lat in series
-                 if change1 <= t < change1 + 4 * window]
-        steady = [lat for t, lat in series if t < change1 - window]
+        series = sc.latency_windows(window)
+        after = [w.avg for w in series
+                 if change1 <= w.start < change1 + 4 * window]
+        steady = [w.avg for w in series if w.start < change1 - window]
         peaks[mech] = (max(after), sum(steady) / len(steady))
     rp_peak, rp_steady = peaks["rp"]
     g_peak, g_steady = peaks["gflov"]

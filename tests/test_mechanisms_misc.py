@@ -17,9 +17,9 @@ def test_all_mechanisms_instantiate():
 
 
 def test_unknown_mechanism_rejected():
-    from repro.noc.network import _mechanism_class
-    with pytest.raises(ValueError):
-        _mechanism_class("quantum")
+    from repro.registry import MECHANISMS
+    with pytest.raises(ValueError, match="unknown mechanism 'quantum'"):
+        MECHANISMS.get("quantum")
 
 
 def test_yx_routes_y_first():

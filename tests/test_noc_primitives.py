@@ -213,11 +213,11 @@ def test_stats_throughput():
 def test_stats_windowed_requires_samples():
     st = StatsCollector(3)
     with pytest.raises(RuntimeError):
-        st.windowed_latency(10)
+        st.latency_windows(10)
     st2 = StatsCollector(3, keep_samples=True)
     st2.on_eject(_done_packet(0, 0, 10))
     st2.on_eject(_done_packet(0, 0, 20))
     st2.on_eject(_done_packet(90, 95, 130))
-    win = st2.windowed_latency(50)
-    assert win[0] == (0, 15.0)
-    assert win[1] == (100, 40.0)
+    win = st2.latency_windows(50)
+    assert (win[0].start, win[0].avg) == (0, 15.0)
+    assert (win[1].start, win[1].avg) == (100, 40.0)

@@ -328,11 +328,6 @@ def test_latency_windows_explicit_horizon():
     assert [w.partial for w in cut] == [False, True]
 
 
-def test_windowed_latency_back_compat_pairs():
-    sc = _collector_with_samples([(0, 10), (99, 20), (150, 50)])
-    assert sc.windowed_latency(100) == [(0, 15.0), (100, 50.0)]
-
-
 def test_latency_windows_validation():
     sc = _collector_with_samples([(0, 10)])
     with pytest.raises(ValueError, match="window"):

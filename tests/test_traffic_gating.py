@@ -10,7 +10,8 @@ from repro import NoCConfig, Network
 from repro.gating.schedule import (EpochGating, GatingSchedule, StaticGating,
                                    random_epochs)
 from repro.traffic.generator import TrafficGenerator
-from repro.traffic.patterns import PATTERNS, get_pattern
+from repro.registry import PATTERNS
+from repro.traffic.patterns import get_pattern
 
 CFG = NoCConfig()
 RNG = random.Random(0)
