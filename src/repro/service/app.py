@@ -681,9 +681,8 @@ class ExperimentService:
         job.finished = time.time()
         if self._journal is not None:
             self._journal.finish(job)
-        key = job.envelope.dedupe_key()
-        if self.store.inflight.get(key) == job.id:
-            del self.store.inflight[key]
+        if self.store.inflight.get(job.dedupe_key) == job.id:
+            del self.store.inflight[job.dedupe_key]
         data: dict[str, Any] = {"status": status,
                                 "done": job.done_cells,
                                 "total": job.total_cells}
@@ -770,7 +769,9 @@ class ExperimentService:
                 "queue.wait", parent=job.root_span.context,
                 attributes={"queue.priority": job.priority})
         job.enqueued_at = time.monotonic()
-        self.store.inflight[job.envelope.dedupe_key()] = job.id
+        if job.dedupe_key is None:  # a job recovered from the journal
+            job.dedupe_key = job.envelope.dedupe_key()
+        self.store.inflight[job.dedupe_key] = job.id
         self.queue.put(job.id, job.priority)
         self._gauges()
 
@@ -819,8 +820,8 @@ class ExperimentService:
             "cells": job.total_cells, "priority": job.priority}))
         if self._try_serve_from_cache(job):
             return 201, job.snapshot()
-        key = envelope.dedupe_key()
-        primary = self.store.get(self.store.inflight.get(key, ""))
+        job.dedupe_key = envelope.dedupe_key()
+        primary = self.store.get(self.store.inflight.get(job.dedupe_key, ""))
         if primary is not None and primary.status in (QUEUED, RUNNING):
             job.dedup_of = primary.id
             primary.followers.append(job.id)
@@ -957,7 +958,7 @@ class ExperimentService:
     @classmethod
     def _json_response(cls, status: int, obj: Any,
                        keep_alive: bool) -> bytes:
-        body = (json.dumps(obj, indent=2) + "\n").encode()
+        body = (json.dumps(obj, separators=(",", ":")) + "\n").encode()
         return cls._response(status, body, "application/json", keep_alive)
 
     async def _handle_conn(self, reader: asyncio.StreamReader,
@@ -1080,10 +1081,13 @@ class ExperimentService:
         terminal ``end`` event — ordered and complete by construction.
 
         One chunk per event; the zero chunk after ``end`` ends the
-        response but not the connection.  While live, one watcher reads
-        the connection: at EOF (the client left) the stream stops at
-        once; bytes sent before the end are never parsed as a request,
-        so the connection closes after the stream (``req.keep_alive``).
+        response but not the connection.  The head, the replayed history
+        and, when it holds ``end``, the zero chunk go out as one write;
+        each live event is one write of its chunk (plus the zero chunk
+        after ``end``).  While live, one watcher reads the connection:
+        at EOF (the client left) the stream stops at once; bytes sent
+        before the end are never parsed as a request, so the connection
+        closes after the stream (``req.keep_alive``).
         """
         head = ("HTTP/1.1 200 OK\r\n"
                 "Content-Type: text/event-stream\r\n"
@@ -1091,12 +1095,10 @@ class ExperimentService:
                 "Transfer-Encoding: chunked\r\n"
                 f"Connection: {'keep-alive' if req.keep_alive else 'close'}"
                 "\r\n\r\n")
-        writer.write(head.encode())
 
-        def send(entry: dict) -> bool:
+        def chunk(entry: dict) -> bytes:
             data = encode_event(entry["id"], entry["event"], entry["data"])
-            writer.write(b"%x\r\n%s\r\n" % (len(data), data))
-            return entry["event"] == "end"
+            return b"%x\r\n%s\r\n" % (len(data), data)
 
         async def watch() -> None:
             try:
@@ -1111,21 +1113,23 @@ class ExperimentService:
         backlog = list(job.events)  # no await since subscribe: atomic
         watcher = None
         try:
-            ended = False
-            for entry in backlog:
-                ended = send(entry) or ended
-            await writer.drain()
-            if not ended:
-                watcher = asyncio.ensure_future(watch())
-            while not ended:
+            out = [head.encode(), *map(chunk, backlog)]
+            ended = any(entry["event"] == "end" for entry in backlog)
+            while True:
+                if ended:
+                    out.append(b"0\r\n\r\n")
+                writer.write(b"".join(out))
+                await writer.drain()
+                if ended:
+                    return
+                if watcher is None:
+                    watcher = asyncio.ensure_future(watch())
                 entry = await q.get()
                 if entry is None:
                     req.keep_alive = False
                     return
-                ended = send(entry)
-                await writer.drain()
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
+                out = [chunk(entry)]
+                ended = entry["event"] == "end"
         finally:
             if q in job.subscribers:
                 job.subscribers.remove(q)

@@ -1,15 +1,23 @@
 """Blocking HTTP client for the experiment service.
 
-A thin ``http.client`` wrapper (stdlib only, like the server) used by
-``repro submit``, the test-suite, and the CI smoke job.  Every method
-maps 1:1 onto a service endpoint; non-2xx responses raise
+A small HTTP/1.1 client over plain sockets (stdlib only, like the
+server) used by ``repro submit``, the test-suite, and the CI smoke job.
+Every method maps 1:1 onto a service endpoint; non-2xx responses raise
 :class:`ServiceError` carrying the status code and the server's
 ``error`` message.
+
+It speaks exactly the HTTP the service does: each request goes out as
+one ``sendall`` of its head and body, and a response body is framed by
+``Content-Length`` or ``Transfer-Encoding: chunked``.  There are no
+proxies, redirects or TLS.  A body or chunked stream cut short raises
+:class:`http.client.IncompleteRead`; ``timeout`` bounds every socket
+operation.
 
 Each calling thread keeps one persistent connection, so a job's submit,
 event stream and result cost one TCP handshake between them;
 :meth:`ServiceClient.close` (or leaving a ``with`` block) closes them.
-A request on a *reused* connection that fails before any response byte
+A ``Connection: close`` answer closes its connection instead.  A
+request on a *reused* connection that fails before any response byte
 (the server closed it while idle, e.g. across a restart) is retried
 once on a fresh connection; a fresh connection never retries.
 """
@@ -18,9 +26,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .sse import decode_stream
 
@@ -36,6 +45,77 @@ class ServiceError(Exception):
         self.message = message
 
 
+class _Connection:
+    """One kept-alive connection: its socket and the buffered reader
+    that lives as long as it does."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+    def read_head(self) -> tuple[int, dict[str, str]]:
+        """Status code and lower-cased headers of the next response."""
+        line = self.rfile.readline()
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "the service closed the connection without a response")
+        try:
+            status = int(line.split(None, 2)[1])
+        except (IndexError, ValueError):
+            raise http.client.BadStatusLine(repr(line)) from None
+        headers: dict[str, str] = {}
+        while (line := self.rfile.readline()) not in (b"\r\n", b"\n"):
+            if not line:
+                raise http.client.IncompleteRead(b"")
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        return status, headers
+
+    def body(self, headers: dict[str, str]) -> Iterator[bytes]:
+        """The response body in the pieces it was framed in: the whole
+        ``Content-Length`` body, or each chunk up to the zero chunk."""
+        rfile = self.rfile
+        if headers.get("transfer-encoding", "").lower() != "chunked":
+            length = int(headers["content-length"])
+            data = rfile.read(length)
+            if len(data) < length:
+                raise http.client.IncompleteRead(data, length - len(data))
+            yield data
+            return
+        while True:
+            try:
+                size = int(rfile.readline().split(b";", 1)[0], 16)
+            except ValueError:  # torn (b"") or garbled size line
+                raise http.client.IncompleteRead(b"") from None
+            if not size:
+                break
+            data = rfile.read(size + 2)
+            if len(data) < size + 2:
+                raise http.client.IncompleteRead(data[:size],
+                                                 size - len(data[:size]))
+            yield data[:size]
+        while rfile.readline() not in (b"\r\n", b"\n", b""):
+            pass  # trailer fields
+
+
+def _lines(pieces: Iterable[bytes]) -> Iterator[bytes]:
+    """Split body pieces into lines, joining a line split across two."""
+    tail = b""
+    for piece in pieces:
+        lines = (tail + piece).split(b"\n")
+        tail = lines.pop()
+        yield from lines
+    if tail:
+        yield tail
+
+
 class ServiceClient:
     """Synchronous client for one service instance."""
 
@@ -46,7 +126,7 @@ class ServiceClient:
         self.timeout = timeout
         #: thread id -> that thread's idle connection.  A connection in
         #: use is out of the map, so no two threads ever share one.
-        self._idle: dict[int, http.client.HTTPConnection] = {}
+        self._idle: dict[int, _Connection] = {}
 
     def close(self) -> None:
         """Close every idle connection; a later call opens a fresh one.
@@ -65,32 +145,40 @@ class ServiceClient:
     # -- plumbing ------------------------------------------------------------
 
     def _send(self, method: str, path: str, body: bytes | None = None,
-              headers: dict[str, str] | None = None
-              ) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+              content_type: str | None = None
+              ) -> tuple[_Connection, int, dict[str, str]]:
         """Send one request on this thread's connection, which is taken
-        out of the idle map until :meth:`_release` puts it back."""
+        out of the idle map until :meth:`_release` puts it back, and
+        read the response head."""
+        head = (f"{method} {path} HTTP/1.1\r\n"
+                f"Host: {self.host}:{self.port}\r\n")
+        if body is not None:
+            head += (f"Content-Type: {content_type}\r\n"
+                     f"Content-Length: {len(body)}\r\n")
+        request = (head + "\r\n").encode() + (body or b"")
         conn = self._idle.pop(threading.get_ident(), None)
-        if conn is None:
-            conn = http.client.HTTPConnection(self.host, self.port,
-                                              timeout=self.timeout)
-        reused = conn.sock is not None
         while True:
+            reused = conn is not None
+            if conn is None:
+                conn = _Connection(self.host, self.port, self.timeout)
             try:
-                conn.request(method, path, body=body, headers=headers or {})
-                return conn, conn.getresponse()
+                conn.sock.sendall(request)
+                return (conn, *conn.read_head())
             except (ConnectionResetError, BrokenPipeError):
                 # RemoteDisconnected (no status line) is a reset too
                 conn.close()
                 if not reused:
                     raise
-                reused = False  # the closed connection reopens on request
+                conn = None
             except BaseException:
                 conn.close()
                 raise
 
-    def _release(self, conn: http.client.HTTPConnection) -> None:
+    def _release(self, conn: _Connection, headers: dict[str, str]) -> None:
         """Return a connection whose response was read to the end."""
-        if self._idle.setdefault(threading.get_ident(), conn) is not conn:
+        if headers.get("connection", "").lower() == "close":
+            conn.close()
+        elif self._idle.setdefault(threading.get_ident(), conn) is not conn:
             conn.close()  # a call made while it was out opened its own
 
     @staticmethod
@@ -105,19 +193,17 @@ class ServiceClient:
     def _request(self, method: str, path: str,
                  body: bytes | None = None,
                  content_type: str | None = None) -> Any:
-        headers = {} if content_type is None else {
-            "Content-Type": content_type}
-        conn, resp = self._send(method, path, body, headers)
+        conn, status, headers = self._send(method, path, body, content_type)
         try:
-            raw = resp.read()
+            raw = b"".join(conn.body(headers))
         except BaseException:
             conn.close()
             raise
-        self._release(conn)
-        if resp.status >= 400:
-            raise self._error(resp.status, raw)
-        if "json" in resp.headers.get("Content-Type", ""):
-            return json.loads(raw.decode())
+        self._release(conn, headers)
+        if status >= 400:
+            raise self._error(status, raw)
+        if "json" in headers.get("content-type", ""):
+            return json.loads(raw)
         return raw.decode()
 
     # -- endpoints -----------------------------------------------------------
@@ -209,14 +295,15 @@ class ServiceClient:
         call made inside the loop opens its own.  The connection goes
         back for reuse once the stream is read to its end; stopping
         early closes it.  A stream cut off before its end raises
-        :class:`http.client.IncompleteRead`.
+        :class:`http.client.IncompleteRead` after the events that did
+        arrive.
         """
-        conn, resp = self._send("GET", f"/jobs/{job_id}/events")
+        conn, status, headers = self._send("GET", f"/jobs/{job_id}/events")
         try:
-            if resp.status >= 400:
-                raise self._error(resp.status, resp.read())
-            yield from decode_stream(iter(resp.readline, b""))
+            if status >= 400:
+                raise self._error(status, b"".join(conn.body(headers)))
+            yield from decode_stream(_lines(conn.body(headers)))
         except BaseException:
             conn.close()
             raise
-        self._release(conn)
+        self._release(conn, headers)

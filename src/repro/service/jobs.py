@@ -87,6 +87,9 @@ class Job:
     dedup_of: str | None = None
     #: follower job ids deduplicated behind this one
     followers: list[str] = field(default_factory=list)
+    #: ``envelope.dedupe_key()``, computed once the job misses the
+    #: store (a store hit never needs it)
+    dedupe_key: str | None = None
     result: dict[str, Any] | None = None
     error: str | None = None
     created: float = field(default_factory=time.time)

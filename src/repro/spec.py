@@ -344,7 +344,9 @@ class SweepSpec:
 
     :meth:`expand` yields the cells as :class:`ExperimentSpec` in
     mechanism-major order (mechanism, then rate, then fraction), so
-    engine results slice back into per-mechanism series.
+    engine results slice back into per-mechanism series.  The cells
+    built to validate the grid are kept: :meth:`JobEnvelope.cells`
+    serves them without expanding again.
     """
 
     mechanisms: tuple[str, ...]
@@ -366,7 +368,8 @@ class SweepSpec:
             _require(isinstance(v, (list, tuple)) and len(v) > 0,
                      f"{name} must be a non-empty list, got {v!r}")
             object.__setattr__(self, name, tuple(v))
-        self.expand()  # cell-level validation, fail fast
+        # cell-level validation, fail fast
+        object.__setattr__(self, "_cells", self.expand())
 
     def expand(self) -> tuple[ExperimentSpec, ...]:
         """Every cell of the grid as a validated :class:`ExperimentSpec`."""
@@ -537,7 +540,7 @@ class JobEnvelope:
     def cells(self) -> tuple[ExperimentSpec, ...]:
         """The experiment cells this job executes, in engine order."""
         if isinstance(self.spec, SweepSpec):
-            return self.spec.expand()
+            return self.spec._cells
         return (self.spec,)
 
     def dedupe_key(self) -> str:

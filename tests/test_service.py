@@ -16,17 +16,26 @@ smoke job use.  The anchor properties:
 * cancelling queued and running jobs leaves the store consistent;
 * connections persist: one client thread's job travels over one
   connection, SSE streams are chunked, and shutdown closes idle
-  connections instead of waiting for them.
+  connections instead of waiting for them;
+* the client keeps its wire contract: a torn body raises
+  ``IncompleteRead``, ``Connection: close`` is honoured, and only a
+  reused connection is retried;
+* a store-hit job costs one write each way per exchange, and each
+  submission expands its sweep and computes its dedupe key once.
 """
 
 from __future__ import annotations
 
+import asyncio
+import http.client
 import json
 import logging
 import socket
+import struct
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import closing
 
 import pytest
@@ -35,8 +44,9 @@ from repro.harness import run_spec, run_sweep_spec
 from repro.harness.cache import ResultCache, result_to_dict, stable_digest
 from repro.harness.parallel import SerialExecutor
 from repro.service import (CACHE_HIT, CANCELLED, DONE, ExperimentService,
-                           ServiceClient, ServiceError)
-from repro.spec import ExperimentSpec, SweepSpec
+                           JobJournal, JobStore, ServiceClient, ServiceError)
+from repro.service.sse import encode_event
+from repro.spec import ExperimentSpec, JobEnvelope, SweepSpec
 
 pytestmark = pytest.mark.service
 
@@ -590,3 +600,214 @@ def test_stop_closes_idle_kept_alive_connections(service, caplog):
         elapsed = time.monotonic() - t0
     assert elapsed < 2.0
     assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
+# -- the client's wire contract -----------------------------------------------
+
+
+def count_calls(monkeypatch, *targets: tuple[type, str]) -> Counter:
+    """Wrap each ``(owner, name)`` method; the counter counts calls by
+    name."""
+    calls: Counter = Counter()
+    for owner, name in targets:
+        def wrapper(*args, _name=name, _fn=getattr(owner, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class ScriptedServer:
+    """A loopback server that answers the n-th connection's request with
+    ``replies[n]`` and then closes it (``None``: reset it unanswered).
+
+    ``accepted`` counts the connections it took."""
+
+    def __init__(self, *replies: bytes | None) -> None:
+        self.replies = list(replies)
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.port = self.listener.getsockname()[1]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while self.replies and not self._stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            self.accepted += 1
+            reply = self.replies.pop(0)
+            with conn:
+                conn.settimeout(10.0)
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    data = conn.recv(4096)
+                    if not data:
+                        break
+                    head += data
+                if reply is None:  # an RST instead of a FIN
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                    struct.pack("ii", 1, 0))
+                else:
+                    conn.sendall(reply)
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join(10.0)
+        self.listener.close()
+
+
+@pytest.fixture
+def scripted():
+    servers: list[ScriptedServer] = []
+
+    def make(*replies: bytes | None) -> ServiceClient:
+        servers.append(ScriptedServer(*replies))
+        return ServiceClient(port=servers[-1].port, timeout=10.0)
+
+    yield make, servers
+    for server in servers:
+        server.close()
+
+
+def chunked_head() -> bytes:
+    return (b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n")
+
+
+def chunk(data: bytes) -> bytes:
+    return b"%x\r\n%s\r\n" % (len(data), data)
+
+
+def test_short_content_length_body_raises_incomplete_read(scripted):
+    make, _ = scripted
+    body = b'{"status": "ok"}'
+    client = make(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                  b"Content-Length: %d\r\n\r\n%s" % (len(body) + 10, body))
+    with closing(client), pytest.raises(http.client.IncompleteRead) as exc:
+        client.health()
+    assert exc.value.partial == body
+
+
+@pytest.mark.parametrize("cut", [20, 0], ids=["mid-chunk",
+                                             "between-chunks"])
+def test_torn_chunked_stream_yields_whole_events_then_raises(scripted, cut):
+    make, _ = scripted
+    first = encode_event(0, "status", {"status": "queued"})
+    second = encode_event(1, "status", {"status": "running"})
+    third = encode_event(2, "end", {"status": "done"})
+    # the stream stops ``cut`` bytes into the third chunk, and no zero
+    # chunk follows
+    client = make(chunked_head() + chunk(first) + chunk(second)
+                  + chunk(third)[:cut])
+    got = []
+    with closing(client), pytest.raises(http.client.IncompleteRead):
+        for event in client.events("j000001"):
+            got.append(event)
+    assert [e["id"] for e in got] == [0, 1]
+    assert got[1]["data"] == {"status": "running"}
+
+
+def test_event_split_across_chunks_is_reassembled(scripted):
+    make, _ = scripted
+    wire = (encode_event(0, "status", {"status": "queued"})
+            + encode_event(1, "end", {"status": "done"}))
+    client = make(chunked_head() + chunk(wire[:7]) + chunk(wire[7:30])
+                  + chunk(wire[30:]) + b"0\r\n\r\n")
+    with closing(client):
+        events = list(client.events("j000001"))
+    assert [e["event"] for e in events] == ["status", "end"]
+
+
+def test_reset_on_a_fresh_connection_is_not_retried(scripted):
+    make, servers = scripted
+    client = make(None, None)
+    with closing(client), pytest.raises(ConnectionResetError):
+        client.health()
+    assert servers[0].accepted == 1
+
+
+def test_connection_close_answer_is_not_reused(service, monkeypatch):
+    conns: list = []
+    _, client = service(conns=conns)
+    assert client.health()["status"] == "ok"
+    with pytest.raises(ServiceError) as exc:
+        client.job("j999999")  # error answers say Connection: close
+    assert exc.value.status == 404
+    sends = count_calls(monkeypatch, (socket.socket, "sendall"))
+    assert client.health()["status"] == "ok"
+    # one request, on a fresh connection: no attempt on the closed one
+    assert (len(conns), sum(sends.values())) == (2, 1)
+
+
+def test_events_of_an_unknown_job_raise_the_server_message(service):
+    # (a 422 on submit is test_malformed_spec_is_422_with_spec_error_message)
+    _, client = service()
+    with pytest.raises(ServiceError) as exc:
+        list(client.events("j999999"))
+    assert (exc.value.status, exc.value.message) == (
+        404, "no such job: j999999")
+    assert client.health()["status"] == "ok"
+
+
+# -- work per store-hit job ---------------------------------------------------
+
+
+def test_store_hit_job_is_one_write_each_way_per_exchange(service,
+                                                         monkeypatch):
+    _, client = service()
+    cold = client.submit(FAST)
+    end = list(client.events(cold["id"]))[-1]
+    assert end["event"] == "end" and end["data"]["status"] == DONE
+
+    calls = count_calls(monkeypatch, (asyncio.StreamWriter, "write"),
+                        (socket.socket, "sendall"))
+    snap = client.submit(FAST)
+    assert snap["status"] == CACHE_HIT
+    assert list(client.events(snap["id"]))[-1]["event"] == "end"
+    assert client.result(snap["id"])["digest"] == end["data"]["digest"]
+    # submit, events and result: one request and one response each
+    assert calls == {"write": 3, "sendall": 3}
+
+
+def test_each_submission_expands_and_keys_once(service, monkeypatch,
+                                               tmp_path):
+    """Counted from the parsed body on: a sweep expands once (to
+    validate, at parse) and a job computes its dedupe key only when it
+    misses the store."""
+    calls = count_calls(monkeypatch, (SweepSpec, "expand"),
+                        (JobEnvelope, "dedupe_key"))
+    state = str(tmp_path / "state")
+    svc, client = service(state_dir=state)
+
+    def job(payload) -> dict:
+        snap = client.submit(payload)
+        assert list(client.events(snap["id"]))[-1]["event"] == "end"
+        client.result(snap["id"])
+        return client.job(snap["id"])
+
+    calls.clear()
+    assert job(FAST_SWEEP)["status"] == DONE
+    assert calls == {"expand": 1, "dedupe_key": 1}  # a sweep miss
+    calls.clear()
+    assert job(FAST_SWEEP)["status"] == CACHE_HIT
+    assert calls == {"expand": 1}  # a store-hit sweep
+    assert job(FAST)["status"] == DONE
+    calls.clear()
+    assert job(FAST)["status"] == CACHE_HIT
+    assert calls == {}  # a single-cell hit
+
+    # journal recovery: each sweep job is parsed once, a terminal job
+    # needs no key, and a requeued one computes it once
+    queued = JobStore().restore_job(
+        "j000010", JobEnvelope(spec=SweepSpec(**dict(FAST_SWEEP, seed=4))))
+    JobJournal(state).submit(queued)
+    svc.stop()
+    calls.clear()
+    _, client = service(state_dir=state)
+    assert client.wait(queued.id)["status"] == DONE
+    assert calls == {"expand": 3, "dedupe_key": 1}
