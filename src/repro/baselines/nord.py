@@ -284,10 +284,6 @@ class NordMechanism(Mechanism):
         for pkt in router.ni.take_pending_packets():
             self.ring.insert(pkt, router.node, self.net.cycle)
 
-    @property
-    def gateable_routers(self) -> frozenset[int]:
-        return frozenset(range(self.cfg.num_routers)) - self.protected
-
     # -- SimSnapshot protocol -------------------------------------------------
 
     def snapshot_state(self, pkts) -> dict:

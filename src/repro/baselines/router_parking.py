@@ -195,10 +195,6 @@ class RouterParkingMechanism(Mechanism):
             return HOLD
         return ROUTE_TO[d]
 
-    @property
-    def gateable_routers(self) -> frozenset[int]:
-        return frozenset(range(self.cfg.num_routers)) - self.protected
-
     # -- SimSnapshot protocol -------------------------------------------------
 
     def snapshot_state(self, pkts) -> dict:

@@ -260,7 +260,7 @@ def _run_sweep(command: str, spec, args: argparse.Namespace, *,
 
 def cmd_parsec(args: argparse.Namespace) -> int:
     from .fullsystem import PARSEC
-    from .harness import ParallelSweep, normalized_table, run_spec
+    from .harness import PoolExecutor, normalized_table, run_spec
     from .spec import ExperimentSpec
 
     benches = args.benchmarks.split(",") if args.benchmarks else list(PARSEC)
@@ -274,7 +274,7 @@ def cmd_parsec(args: argparse.Namespace) -> int:
         print(f"repro parsec: error: {exc}", file=sys.stderr)
         return 2
     # full-system results are not cacheable; the pool still fans out
-    results = ParallelSweep(use_cache=False).map_callable(run_spec, specs)
+    results = PoolExecutor().map(run_spec, specs)
     print(f"{'benchmark':>14} {'mech':>9} {'runtime':>9} {'static uJ':>10} "
           f"{'total uJ':>9} {'sleep':>6}")
     base = {}
@@ -607,7 +607,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # soak
     from .faults.injector import FaultPlan
     from .faults.soak import FaultSoakSpec, run_fault_soak
-    from .harness import ParallelSweep
+    from .harness import PoolExecutor
 
     specs = [FaultSoakSpec(
                  mechanism=m, seed=args.seed + i,
@@ -618,8 +618,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                 power_reset=args.power_reset))
              for m in args.mechanisms.split(",")
              for i in range(args.runs)]
-    engine = ParallelSweep(args.jobs)
-    reports = engine.map_callable(run_fault_soak, specs)
+    reports = PoolExecutor(args.jobs).map(run_fault_soak, specs)
     failures = 0
     for rep in reports:
         spec = rep.spec

@@ -18,8 +18,6 @@ Baseline Routing      YX routing
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
@@ -136,49 +134,17 @@ class NoCConfig:
         """Global index of the (first) escape VC of a vnet."""
         return vnet * self.vcs_per_vnet + self.num_vcs
 
-    def is_escape_vc(self, vc: int) -> bool:
-        """True if the global VC index ``vc`` denotes an escape VC."""
-        return (vc % self.vcs_per_vnet) >= self.num_vcs
-
-    def vnet_of(self, vc: int) -> int:
-        """Virtual network a global VC index belongs to."""
-        return vc // self.vcs_per_vnet
-
-    def with_(self, **kwargs: Any) -> "NoCConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
-
     # -- stable serialization (experiment cache keys) -----------------------
 
     def to_dict(self) -> dict[str, Any]:
         """All declared fields as a plain JSON-serializable dict.
 
         The mapping is *stable*: it contains exactly the dataclass fields
-        in declaration order, so it round-trips through
-        :meth:`from_dict` and feeds :meth:`stable_hash`.
+        in declaration order, so ``NoCConfig(**cfg.to_dict()) == cfg``
+        and the experiment cache key (which embeds it) hashes the same
+        in every process.
         """
         return {name: getattr(self, name) for name in _FIELD_NAMES}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "NoCConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        unknown = set(data) - set(_FIELD_NAMES)
-        if unknown:
-            raise ValueError(f"unknown NoCConfig fields: {sorted(unknown)}")
-        return cls(**data)
-
-    def canonical_json(self) -> str:
-        """Deterministic JSON encoding (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def stable_hash(self) -> str:
-        """Content hash of the configuration, stable across processes.
-
-        Unlike ``hash()``, this does not depend on ``PYTHONHASHSEED`` or
-        the process, so it is usable as an on-disk cache-key component.
-        """
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
 #: NoCConfig field names in declaration order, read once at import
@@ -273,4 +239,4 @@ def table1_config(mechanism: str = "gflov", *, vnets: int = 1,
     Synthetic-traffic experiments use one vnet; full-system uses three.
     """
     cfg = NoCConfig(mechanism=mechanism, num_vnets=vnets)
-    return cfg.with_(**overrides) if overrides else cfg
+    return replace(cfg, **overrides) if overrides else cfg

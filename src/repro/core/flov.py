@@ -67,11 +67,6 @@ class FlovMechanism(Mechanism):
     def on_schedule_change(self, now: int, gated: frozenset[int]) -> None:
         self.hsc.on_schedule_change(now, gated)
 
-    @property
-    def gateable_routers(self) -> frozenset[int]:
-        all_nodes = frozenset(range(self.cfg.num_routers))
-        return all_nodes - self.hsc.aon_nodes - self.hsc.protected
-
     # -- SimSnapshot protocol -------------------------------------------------
 
     def snapshot_state(self, pkts) -> dict:

@@ -34,9 +34,6 @@ QUADRANT_DIRS: dict[int, tuple[Direction, Direction]] = {
     6: (Direction.SOUTH, Direction.EAST),   # SE
 }
 
-CARDINAL_PARTITIONS = frozenset(CARDINAL_DIR)
-QUADRANT_PARTITIONS = frozenset(QUADRANT_DIRS)
-
 
 def partition(cur_x: int, cur_y: int, dst_x: int, dst_y: int) -> int:
     """Partition id of ``(dst_x, dst_y)`` as seen from ``(cur_x, cur_y)``.
@@ -54,13 +51,3 @@ def partition(cur_x: int, cur_y: int, dst_x: int, dst_y: int) -> int:
     if dx > 0:
         return 0 if dy > 0 else 6
     return 2 if dy > 0 else 4
-
-
-def is_cardinal(part: int) -> bool:
-    """True for the same-row/same-column partitions (1, 3, 5, 7)."""
-    return part in CARDINAL_PARTITIONS
-
-
-def is_quadrant(part: int) -> bool:
-    """True for partitions requiring a turn (0, 2, 4, 6)."""
-    return part in QUADRANT_PARTITIONS

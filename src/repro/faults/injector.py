@@ -383,30 +383,6 @@ class FaultInjector:
         """Injected-fault tally by action (stable key order)."""
         return dict(sorted(self.counts.items()))
 
-    # -- SimSnapshot protocol -------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        from ..noc.snapshot import encode_rng
-        # the plan is constructor configuration, not state; dead-link
-        # channel tuples are re-derived from the topology on restore
-        return {
-            "rng": encode_rng(self.rng),
-            "counts": dict(sorted(self.counts.items())),
-            "dead": [[src, dst, dl.until]
-                     for (src, dst), dl in sorted(self._dead.items())],
-            "enabled": self.enabled,
-        }
-
-    def restore_state(self, data: dict) -> None:
-        from ..noc.snapshot import decode_rng
-        decode_rng(self.rng, data["rng"])
-        self.counts = Counter(data["counts"])
-        self._dead = {
-            (src, dst): _DeadLink(src, dst, until,
-                                  self._link_channels(src, dst))
-            for src, dst, until in data["dead"]}
-        self.enabled = data["enabled"]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         total = sum(self.counts.values())
         return (f"<FaultInjector seed={self.plan.seed} {total} faults "

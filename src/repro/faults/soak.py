@@ -12,8 +12,7 @@ seeded — see ``docs/testing.md``).
 
 :class:`FaultSoakSpec` is a frozen, picklable dataclass and
 :func:`run_fault_soak` a module-level function, so soaks fan out
-directly through :meth:`repro.harness.parallel.ParallelSweep.
-map_callable`.
+directly through :meth:`repro.harness.parallel.PoolExecutor.map`.
 """
 
 from __future__ import annotations

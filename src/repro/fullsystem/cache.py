@@ -63,6 +63,3 @@ class SetAssocCache(Generic[S]):
 
     def __contains__(self, line: int) -> bool:
         return line in self._set_of(line)
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)

@@ -27,11 +27,6 @@ class GatingSchedule:
         """Set of gated core ids at ``cycle``."""
         return frozenset()
 
-    def active_at(self, cycle: int, num_nodes: int) -> list[int]:
-        """Active (non-gated) core ids at ``cycle``."""
-        gated = self.gated_at(cycle)
-        return [n for n in range(num_nodes) if n not in gated]
-
 
 class StaticGating(GatingSchedule):
     """A fixed random subset of cores is gated for the whole run.

@@ -6,14 +6,14 @@ from .cache import (CACHE_SCHEMA_VERSION, ResultCache, cache_enabled,
                     spec_digest, stable_digest)
 from .parallel import (BatchedExecutor, Executor, ParallelSweep,
                        PoolExecutor, SerialExecutor, SweepTask,
-                       batch_group_key, default_jobs, default_task_timeout)
+                       batch_group_key, default_jobs)
 from .sweep import FIGURE_MECHANISMS, run_sweep_spec
 from .ascii_plot import bar_chart, heat_grid, sparkline
 from .tables import breakdown_table, normalized_table, series_table
 
 __all__ = [
     "run_spec", "ExperimentResult", "default_cycles",
-    "ParallelSweep", "SweepTask", "default_jobs", "default_task_timeout",
+    "ParallelSweep", "SweepTask", "default_jobs",
     "Executor", "SerialExecutor", "PoolExecutor", "BatchedExecutor",
     "batch_group_key",
     "ResultCache", "cache_enabled", "default_cache_dir", "stable_digest",

@@ -216,8 +216,3 @@ class ResultCache:
     def clear(self) -> None:
         """Remove every cache entry (and the root directory)."""
         shutil.rmtree(self.root, ignore_errors=True)
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))

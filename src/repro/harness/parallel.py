@@ -39,12 +39,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
-from ..gating.schedule import GatingSchedule
 from ..spec import ExperimentSpec
 from .cache import ResultCache, cache_enabled
 from .runner import ExperimentResult, run_spec
 
-#: signature: progress(done, total, task_or_item, result, from_cache)
+#: signature: progress(done, total, task, result, from_cache)
 ProgressFn = Callable[[int, int, Any, Any, bool], None]
 
 #: signature: emit(index, result) — called exactly once per task, in
@@ -64,33 +63,15 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def default_task_timeout() -> float:
-    """Per-task timeout in seconds (``REPRO_TASK_TIMEOUT``, default 600)."""
-    env = os.environ.get("REPRO_TASK_TIMEOUT")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            warnings.warn(f"ignoring non-numeric REPRO_TASK_TIMEOUT={env!r}",
-                          RuntimeWarning, stacklevel=2)
-    return 600.0
-
-
 @dataclass
 class SweepTask:
     """One engine work item: an :class:`~repro.spec.ExperimentSpec` plus
-    what is not data — an optional live ``schedule`` object and the
-    runtime attachments the engine stamps.
+    the runtime attachments the engine stamps.
 
     The spec is the authority for validation, cache keys and execution.
-    A task carrying a live ``schedule`` *object* is executed but never
-    cached (arbitrary schedule objects are not content-hashed; use the
-    spec's declarative schedule mapping to get cacheable scheduled
-    runs).
     """
 
     spec: ExperimentSpec
-    schedule: GatingSchedule | None = None
     #: distributed-trace context stamped by the engine (never user-set);
     #: excluded from equality and from the cache key — tracing a task
     #: must not change what it computes or where it is stored
@@ -113,13 +94,6 @@ class SweepTask:
         """``SweepTask(spec)`` — the spelling ``bench/`` imports."""
         return cls(spec)
 
-    def cache_key(self) -> dict[str, Any] | None:
-        """The spec's cache key, or None when a live schedule object
-        makes the task uncacheable."""
-        if self.schedule is not None:
-            return None
-        return self.spec.cache_key()
-
     def run(self) -> ExperimentResult:
         """Execute the task in the current process.
 
@@ -128,8 +102,7 @@ class SweepTask:
         run) and checkpoints periodically; ``run_spec`` removes the file
         on completion.
         """
-        return run_spec(self.spec, schedule=self.schedule,
-                        **self._checkpoint_kwargs())
+        return run_spec(self.spec, **self._checkpoint_kwargs())
 
     def _checkpoint_kwargs(self) -> dict[str, Any]:
         """``run_spec`` checkpoint keywords, with auto-resume from an
@@ -172,8 +145,7 @@ def _run_traced(task: SweepTask) -> Any:
             "cell.rate": spec.rate,
             "cell.gated_fraction": spec.gated_fraction,
             "cell.seed": spec.seed}) as sp:
-        result = run_spec(spec, schedule=task.schedule, profiler=prof,
-                          **task._checkpoint_kwargs())
+        result = run_spec(spec, profiler=prof, **task._checkpoint_kwargs())
         for phase, ns in prof.phase_ns().items():
             sp.set_attribute(f"kernel.{phase}_ns", ns)
         sp.set_attribute("kernel.cycles", prof.cycles)
@@ -206,8 +178,6 @@ class Executor(Protocol):
       in task-index order, as results become available (streaming lets
       the engine persist/report each result immediately, and lets a
       scheduler abort between tasks by raising from ``emit``).
-    * :meth:`map` is the generic fan-out for units of work that are not
-      sweep tasks (fault soaks, PARSEC benchmark cells).
     * ``mode`` describes how the *last* call actually ran (``serial`` /
       ``parallel`` / ``batched``) — a pool that fell back reports
       ``serial``.
@@ -220,9 +190,6 @@ class Executor(Protocol):
     def reset(self) -> None: ...
 
     def execute(self, tasks: Sequence[SweepTask], emit: EmitFn) -> None: ...
-
-    def map(self, fn: Callable[[Any], Any],
-            items: Sequence[Any]) -> list[Any]: ...
 
 
 class SerialExecutor:
@@ -239,11 +206,6 @@ class SerialExecutor:
         for i, task in enumerate(tasks):
             emit(i, _execute_task(task))
 
-    def map(self, fn: Callable[[Any], Any],
-            items: Sequence[Any]) -> list[Any]:
-        self.mode = "serial"
-        return [fn(it) for it in items]
-
 
 class PoolExecutor:
     """Fan tasks over a process pool, falling back to serial execution.
@@ -255,7 +217,11 @@ class PoolExecutor:
         ``1`` forces the in-process serial path.
     task_timeout:
         Seconds a pooled task may run before it is abandoned and retried
-        serially (``REPRO_TASK_TIMEOUT`` sets the default).
+        serially.
+
+    :meth:`map` fans any picklable module-level function over items
+    that are not sweep tasks (fault soaks, PARSEC full-system cells)
+    with the same pool, fallback and retry policy.
 
     Failure policy (unchanged from the original engine): a task that
     fails or times out in a worker is retried once in-process before the
@@ -265,11 +231,10 @@ class PoolExecutor:
     """
 
     def __init__(self, max_workers: int | None = None, *,
-                 task_timeout: float | None = None) -> None:
+                 task_timeout: float = 600.0) -> None:
         self.max_workers = (default_jobs() if max_workers is None
                             else max(1, int(max_workers)))
-        self.task_timeout = (default_task_timeout() if task_timeout is None
-                             else task_timeout)
+        self.task_timeout = task_timeout
         self.mode = "serial"
 
     def reset(self) -> None:
@@ -412,9 +377,7 @@ class BatchedExecutor:
                     if path.exists():
                         resume = path
                 batch_results = run_spec_batch(
-                    specs,
-                    schedules=[tasks[i].schedule for i in chunk],
-                    checkpoint_every=ck_every, checkpoint_dir=ck_dir,
+                    specs, checkpoint_every=ck_every, checkpoint_dir=ck_dir,
                     resume_from=resume,
                     interrupt=next((tasks[i].interrupt for i in chunk
                                     if tasks[i].interrupt is not None),
@@ -443,12 +406,6 @@ class BatchedExecutor:
                     for i, res in zip(chunk, batch_results):
                         emit(i, res)
 
-    def map(self, fn: Callable[[Any], Any],
-            items: Sequence[Any]) -> list[Any]:
-        # generic items cannot be replica-batched; run them serially
-        self.mode = "serial"
-        return [fn(it) for it in items]
-
 
 # -- engines ------------------------------------------------------------------
 
@@ -468,10 +425,6 @@ class ParallelSweep:
     cache:
         A :class:`ResultCache`; default uses ``REPRO_CACHE_DIR`` /
         ``.repro_cache``.
-    task_timeout:
-        Seconds a pooled task may run before it is abandoned and retried
-        serially (``REPRO_TASK_TIMEOUT`` sets the default).  The serial
-        path cannot preempt a task, so no timeout applies there.
     progress:
         Optional callback ``(done, total, task, result, from_cache)``
         invoked once per finished task.  Raising from the callback
@@ -479,7 +432,7 @@ class ParallelSweep:
         for job cancellation); results already computed stay cached.
     executor:
         An :class:`Executor` instance to schedule onto; default is a
-        :class:`PoolExecutor` built from ``max_workers``/``task_timeout``.
+        :class:`PoolExecutor` built from ``max_workers``.
     span_tracer:
         Optional :class:`~repro.obs.spans.SpanTracer`.  When set, every
         run opens a ``sweep.run`` span (child of ``span_parent``, or a
@@ -509,7 +462,6 @@ class ParallelSweep:
     def __init__(self, max_workers: int | None = None, *,
                  use_cache: bool = True,
                  cache: ResultCache | None = None,
-                 task_timeout: float | None = None,
                  progress: ProgressFn | None = None,
                  executor: Executor | None = None,
                  span_tracer: Any | None = None,
@@ -521,12 +473,8 @@ class ParallelSweep:
                             else max(1, int(max_workers)))
         self.use_cache = use_cache
         self.cache = cache if cache is not None else ResultCache()
-        self.task_timeout = (default_task_timeout() if task_timeout is None
-                             else task_timeout)
-        self.executor: Executor = (
-            executor if executor is not None
-            else PoolExecutor(self.max_workers,
-                              task_timeout=self.task_timeout))
+        self.executor: Executor = (executor if executor is not None
+                                   else PoolExecutor(self.max_workers))
         self.progress = progress
         self.span_tracer = span_tracer
         self.span_parent = span_parent
@@ -575,10 +523,11 @@ class ParallelSweep:
             pending: list[int] = []
             done = 0
             for i, task in enumerate(resolved):
-                key = task.cache_key() if caching else None
-                keys[i] = key
-                hit = (self.cache.get(key, tracer=tracer, parent=parent_ctx)
-                       if key is not None else None)
+                hit = None
+                if caching:
+                    keys[i] = key = task.spec.cache_key()
+                    hit = self.cache.get(key, tracer=tracer,
+                                         parent=parent_ctx)
                 if hit is not None:
                     results[i] = hit
                     done += 1
@@ -607,7 +556,7 @@ class ParallelSweep:
                         tracer.ingest(res.spans)
                         res = res.result
                     results[i] = res
-                    if caching and keys[i] is not None:
+                    if caching:
                         if tracer is not None:
                             with tracer.span("cache.write",
                                              parent=parent_ctx,
@@ -633,22 +582,3 @@ class ParallelSweep:
                 run_span.set_attribute("mode", self.last_mode)
                 run_span.end()
         return results  # type: ignore[return-value]
-
-    def map_callable(self, fn: Callable[[Any], Any],
-                     items: Sequence[Any]) -> list[Any]:
-        """Generic fan-out of ``fn`` over ``items`` (no result cache).
-
-        ``fn`` must be picklable (module-level) for the pool path; the
-        serial fallback works with any callable.  Used for work that is
-        not a cached synthetic-traffic task (fault soaks, the PARSEC
-        full-system runs of ``repro parsec``).
-        """
-        total = len(items)
-        if total == 0:
-            return []
-        self.executor.reset()
-        results = self.executor.map(fn, items)
-        self.last_mode = self.executor.mode
-        for i, res in enumerate(results):
-            self._notify(i + 1, total, items[i], res, False)
-        return results

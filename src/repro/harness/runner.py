@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..gating.schedule import GatingSchedule, StaticGating
+from ..gating.schedule import StaticGating
 from ..noc.network import Network
 from ..noc.snapshot import (SNAPSHOT_SCHEMA_VERSION, SnapshotError,
                             check_schema)
@@ -66,7 +66,6 @@ class ExperimentResult:
 
 
 def run_spec(spec: ExperimentSpec, *,
-             schedule: GatingSchedule | None = None,
              tracer=None, trace_path: str | None = None,
              trace_kinds=None,
              sampler=None, metrics_every: int | None = None,
@@ -81,9 +80,7 @@ def run_spec(spec: ExperimentSpec, *,
     The spec is the whole experiment: ``kernel`` selects the simulation
     kernel (default: the ``REPRO_KERNEL`` environment variable) and is
     deliberately *not* part of the cache key — results are bit-identical
-    across kernels.  ``schedule`` (a live :class:`GatingSchedule`
-    object) overrides both the spec's declarative ``schedule`` mapping
-    and its ``gated_fraction``.
+    across kernels.
 
     Observability keywords are runtime attachments, not part of the
     spec or its cache key, and never affect simulation results (see
@@ -187,8 +184,7 @@ def run_spec(spec: ExperimentSpec, *,
         # restored runs install the snapshot's flattened schedule instead
         # (mechanism reactions to past changes live in component state,
         # so set_gating's on_schedule_change must not fire again)
-        if schedule is None:
-            schedule = spec.build_schedule(cfg)
+        schedule = spec.build_schedule(cfg)
         if schedule is None:
             schedule = StaticGating(cfg.num_routers, gated_fraction,
                                     seed=seed)

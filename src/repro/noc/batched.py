@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..gating.schedule import GatingSchedule, StaticGating
+from ..gating.schedule import StaticGating
 from ..spec import ExperimentSpec, SpecError
 from ..traffic.generator import TrafficGenerator
 from ..traffic.patterns import get_pattern
@@ -255,7 +255,6 @@ class ReplicaBatch:
 
 
 def run_spec_batch(specs: Sequence[ExperimentSpec], *,
-                   schedules: Sequence[GatingSchedule | None] | None = None,
                    checkpoint_every: int | None = None,
                    checkpoint_dir=None,
                    resume_from=None,
@@ -280,11 +279,6 @@ def run_spec_batch(specs: Sequence[ExperimentSpec], *,
     """
     from ..harness.runner import ExperimentResult
 
-    if schedules is None:
-        schedules = [None] * len(specs)
-    if len(schedules) != len(specs):
-        raise SpecError("schedules must align 1:1 with specs")
-
     payload = None
     if resume_from is not None:
         if isinstance(resume_from, dict):
@@ -296,7 +290,7 @@ def run_spec_batch(specs: Sequence[ExperimentSpec], *,
 
     batch = ReplicaBatch()
     resolved: list[ExperimentSpec] = []
-    for spec, schedule in zip(specs, schedules):
+    for spec in specs:
         if spec.workload is not None:
             raise SpecError("full-system workload specs cannot be batched; "
                             "run them through run_spec")
@@ -306,8 +300,7 @@ def run_spec_batch(specs: Sequence[ExperimentSpec], *,
         if payload is None:
             # restored runs install each snapshot's flattened schedule
             # instead (see Network.restore_state)
-            if schedule is None:
-                schedule = spec.build_schedule(cfg)
+            schedule = spec.build_schedule(cfg)
             if schedule is None:
                 schedule = StaticGating(cfg.num_routers, spec.gated_fraction,
                                         seed=spec.seed)

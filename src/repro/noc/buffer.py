@@ -56,39 +56,20 @@ class InputVC:
 
     # -- mutation ------------------------------------------------------------
 
-    def push(self, flit: Flit, now: int) -> None:
-        """Buffer an arriving flit."""
-        if len(self.buffer) >= self.capacity:
-            raise OverflowError("VC buffer overflow: flow control violated")
-        self.buffer.append(flit)
-        self._refresh(now)
-
     def pop(self, now: int) -> Flit:
         """Remove the front flit; a tail departure frees the VC."""
         flit = self.buffer.popleft()
         if flit.is_tail:
-            self.state = VCState.IDLE
             self.out_port = None
             self.out_vc = -1
-            self.wait_since = -1
-            self._refresh(now)
-        return flit
-
-    def _refresh(self, now: int) -> None:
-        """IDLE VC with a head flit at the front starts ROUTING."""
-        if self.state == VCState.IDLE and self.buffer:
-            front = self.buffer[0]
-            if front.is_head:
+            # a head queued behind the tail starts ROUTING at once
+            if self.buffer and self.buffer[0].is_head:
                 self.state = VCState.ROUTING
                 self.wait_since = now
-
-    def allocate(self, out_port: Direction, out_vc: int) -> None:
-        """Record the VA decision; ROUTING -> ACTIVE."""
-        if self.state != VCState.ROUTING:
-            raise RuntimeError("allocate on a VC not in ROUTING")
-        self.state = VCState.ACTIVE
-        self.out_port = out_port
-        self.out_vc = out_vc
+            else:
+                self.state = VCState.IDLE
+                self.wait_since = -1
+        return flit
 
     def release_route(self, now: int) -> None:
         """Drop a granted route and return to ROUTING (escape escalation)."""

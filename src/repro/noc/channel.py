@@ -25,8 +25,8 @@ direct test manipulation keep working):
   it).
 * The kernel pops exactly one due item per entry.  An entry whose
   channel turns out to be empty or whose head is not due yet (left
-  behind by :meth:`clear`, a manual :meth:`receive`, or a link outage
-  that re-filed its items later) is stale and simply dropped — never an
+  behind by :meth:`clear` or by a link outage that re-filed its items
+  later) is stale and simply dropped — never an
   error.
 * All simulator send sites use strictly future arrivals, so a bucket for
   a past cycle can never be left behind by normal operation.
@@ -75,10 +75,6 @@ class DelayChannel(Generic[T]):
         self.sink = sink
         self.sink_dir = sink_dir
 
-    def send(self, item: T, now: int) -> None:
-        """Enqueue ``item`` at cycle ``now``; arrives ``now + latency``."""
-        self.send_at(item, now + self.latency)
-
     def send_at(self, item: T, arrival: int) -> None:
         """Enqueue with an explicit arrival cycle (must be monotone)."""
         q = self._q
@@ -93,14 +89,6 @@ class DelayChannel(Generic[T]):
                 wheel[arrival] = [self]
             else:
                 bucket.append(self)
-
-    def receive(self, now: int) -> list[T]:
-        """Pop and return every item whose arrival cycle is <= ``now``."""
-        out: list[T] = []
-        q = self._q
-        while q and q[0][0] <= now:
-            out.append(q.popleft()[1])
-        return out
 
     def peek_arrivals(self) -> Iterator[tuple[int, T]]:
         """Iterate (arrival, item) without consuming — for drain checks."""

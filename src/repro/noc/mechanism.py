@@ -80,11 +80,6 @@ class Mechanism:
     def on_schedule_change(self, now: int, gated: frozenset[int]) -> None:
         """The OS changed the set of power-gated cores."""
 
-    @property
-    def gateable_routers(self) -> frozenset[int]:
-        """Routers this mechanism could ever power-gate (for reporting)."""
-        return frozenset()
-
     # -- SimSnapshot protocol -------------------------------------------------
 
     def snapshot_state(self, pkts) -> dict:

@@ -519,10 +519,15 @@ class Network:
 
         Call between cycles only.  Checkpoint files
         (:mod:`repro.harness.checkpoint`) carry it inside their
-        versioned envelope.
+        versioned envelope.  A mesh with a fault injector attached is
+        refused (:class:`~repro.noc.snapshot.SnapshotError`): no run
+        that checkpoints attaches one, so the injector has no state
+        codec and ``"faults"`` is always null.
         """
         from ..gating.schedule import schedule_to_epochs
-        from .snapshot import PacketTable
+        from .snapshot import PacketTable, require
+        require(self._faults is None,
+                "cannot snapshot a mesh with a fault injector attached")
         pkts = PacketTable()
         data = {
             "mechanism": self.cfg.mechanism,
@@ -539,8 +544,7 @@ class Network:
             "mech": self.mech.snapshot_state(pkts),
             "stats": self.stats.snapshot_state(),
             "accountant": self.accountant.snapshot_state(),
-            "faults": (None if self._faults is None
-                       else self._faults.snapshot_state()),
+            "faults": None,
         }
         # encoded last: every component has registered its packets by now
         data["packets"] = pkts.encode()
@@ -565,6 +569,9 @@ class Network:
                 and data.get("height") == self.cfg.height,
                 f"snapshot mesh {data.get('width')}x{data.get('height')} "
                 f"!= network {self.cfg.width}x{self.cfg.height}")
+        require(data.get("faults") is None,
+                "snapshot carries fault-injector state; only meshes "
+                "without an injector are checkpointed")
         self.cycle = data["cycle"]
         self._pid = data["pid"]
         self._flits = data["flits"]
@@ -593,8 +600,3 @@ class Network:
         self.mech.restore_state(data["mech"], pkts)
         self.stats.restore_state(data["stats"])
         self.accountant.restore_state(data["accountant"])
-        if data["faults"] is not None:
-            require(self._faults is not None,
-                    "snapshot carries fault-injector state but no "
-                    "injector is attached to the restore target")
-            self._faults.restore_state(data["faults"])

@@ -196,8 +196,8 @@ class NetworkInterface:
             flit.in_dir = Direction.LOCAL
             flit.ready = now + router._rl_m1
             flit.buffered_at = now
-            # inlined ``InputVC.push`` (the checks above leave room): a
-            # head enters an empty IDLE VC (``_pick_idle_vc``)
+            # buffer in place (the checks above leave room): a head
+            # enters an empty IDLE VC (``_pick_idle_vc``)
             ivc.buffer.append(flit)
             if flit.is_head:
                 # head entered an idle VC: it is now ROUTING
@@ -457,9 +457,9 @@ class Router:
             flit.ready = now + self._rl_m1
             flit.buffered_at = now
             ivc = self.ivc[from_dir][flit.vc]
-            # inlined ``InputVC.push`` + ``_refresh``: the pushed flit only
-            # changes the VC state when it lands at the front of an IDLE
-            # VC (an old front, head or not, was already refreshed)
+            # buffer in place: the flit only changes the VC state when it
+            # lands at the front of an IDLE VC (an old front, head or not,
+            # already set the state when it arrived)
             buf = ivc.buffer
             if len(buf) >= ivc.capacity:
                 raise OverflowError(

@@ -45,16 +45,6 @@ class LatencyBreakdown:
         return (self.router + self.link + self.serialization
                 + self.flov + self.contention)
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "router": self.router,
-            "link": self.link,
-            "serialization": self.serialization,
-            "flov": self.flov,
-            "contention": self.contention,
-            "total": self.total,
-        }
-
 
 class StatsCollector:
     """Accumulates packet-level statistics during a simulation run.

@@ -113,42 +113,6 @@ class Journey:
         """Cycles spent in the source NI queue before injection."""
         return 0 if self.loopback else self.inject_cycle - self.create_cycle
 
-    def path(self) -> list[int]:
-        """Node sequence the head visited (source first, dest last)."""
-        nodes = [h.node for h in self.hops]
-        if not self.loopback and (not nodes or nodes[-1] != self.dest):
-            nodes.append(self.dest)
-        return nodes
-
-    def segments(self) -> list[tuple[int, int, int]]:
-        """Per-segment ``(from_node, to_node, cycles)`` deltas between
-        consecutive head arrivals, closing with the hop into the
-        destination NI (delta to the ``eject`` cycle)."""
-        out: list[tuple[int, int, int]] = []
-        hops = self.hops
-        for a, b in zip(hops, hops[1:]):
-            out.append((a.node, b.node, b.cycle - a.cycle))
-        if hops:
-            out.append((hops[-1].node, self.dest,
-                        self.eject_cycle - hops[-1].cycle))
-        return out
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "pid": self.pid, "src": self.src, "dest": self.dest,
-            "size": self.size, "vnet": self.vnet,
-            "create_cycle": self.create_cycle,
-            "inject_cycle": self.inject_cycle,
-            "eject_cycle": self.eject_cycle,
-            "latency": self.latency,
-            "router_hops": self.router_hops,
-            "flov_hops": self.flov_hops,
-            "link_hops": self.link_hops,
-            "queueing": self.queueing,
-            "escaped": self.escaped,
-            "path": self.path(),
-        }
-
 
 @dataclass
 class JourneySet:

@@ -90,15 +90,6 @@ class SpanContext:
         """A fresh context for a child span of this one."""
         return SpanContext(self.trace_id, _new_span_id(), self.span_id)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id,
-                "parent_id": self.parent_id}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SpanContext":
-        return cls(trace_id=data["trace_id"], span_id=data["span_id"],
-                   parent_id=data.get("parent_id"))
-
     @classmethod
     def new_root(cls) -> "SpanContext":
         return cls(trace_id=_new_trace_id(), span_id=_new_span_id())
@@ -270,21 +261,12 @@ class SpanTracer:
         with self._lock:
             return self.recorded - len(self._finished)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._finished)
-
     def export(self) -> list[dict[str, Any]]:
         """Snapshot of retained finished spans, ordered by start time."""
         with self._lock:
             spans = list(self._finished)
         return sorted(spans, key=lambda s: (s["start_unix_ns"],
                                             s["span_id"]))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._finished.clear()
-            self.recorded = 0
 
 
 def validate_span_tree(spans: list[dict[str, Any]]) -> list[str]:

@@ -74,10 +74,6 @@ class Tracer:
         """Events lost to ring wraparound (0 while under capacity)."""
         return max(0, self._n - self.capacity)
 
-    def __len__(self) -> int:
-        """Events currently held in the ring."""
-        return min(self._n, self.capacity)
-
     def events(self) -> list[TraceEvent]:
         """The retained events, oldest first (wraparound unfolded)."""
         n, cap = self._n, self.capacity
@@ -87,12 +83,8 @@ class Tracer:
         out = self._buf[cut:] + self._buf[:cut]
         return [e for e in out if e is not None]
 
-    def clear(self) -> None:
-        """Forget everything (the ring stays allocated)."""
-        self._buf = [None] * self.capacity
-        self._n = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         filt = "all" if self.kinds is None else ",".join(sorted(self.kinds))
-        return (f"<Tracer {len(self)}/{self.capacity} events "
+        held = min(self._n, self.capacity)
+        return (f"<Tracer {held}/{self.capacity} events "
                 f"(+{self.dropped} dropped) kinds={filt}>")

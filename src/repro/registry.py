@@ -34,7 +34,7 @@ Error contract
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Generic, Iterator, TypeVar
+from typing import Any, Callable, Generic, TypeVar
 
 T = TypeVar("T")
 
@@ -149,22 +149,9 @@ class Registry(Generic[T]):
         self._ensure_populated()
         return tuple(self._order)
 
-    def items(self) -> Iterator[tuple[str, T]]:
-        """``(name, component)`` pairs in registration order (resolves
-        every lazy entry)."""
-        for name in self.names():
-            yield name, self.get(name)
-
     def __contains__(self, name: object) -> bool:
         self._ensure_populated()
         return name in self._entries or name in self._lazy
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        self._ensure_populated()
-        return len(self._order)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Registry {self.kind}: {self.names()}>"

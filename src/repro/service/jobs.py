@@ -206,6 +206,3 @@ class JobStore:
 
     def __len__(self) -> int:
         return len(self._jobs)
-
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._jobs

@@ -67,9 +67,6 @@ class JobQueue:
         """Live (non-cancelled) queued entries."""
         return len(self._queued)
 
-    def __contains__(self, job_id: str) -> bool:
-        return job_id in self._queued
-
     # -- asyncio wait --------------------------------------------------------
 
     async def get(self) -> str:

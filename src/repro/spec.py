@@ -344,9 +344,8 @@ class SweepSpec:
 
     :meth:`expand` yields the cells as :class:`ExperimentSpec` in
     mechanism-major order (mechanism, then rate, then fraction), so
-    engine results slice back into per-mechanism series.  The cells
-    built to validate the grid are kept: :meth:`JobEnvelope.cells`
-    serves them without expanding again.
+    engine results slice back into per-mechanism series.  The cells are
+    built once, to validate the grid, and every caller reads that tuple.
     """
 
     mechanisms: tuple[str, ...]
@@ -369,11 +368,7 @@ class SweepSpec:
                      f"{name} must be a non-empty list, got {v!r}")
             object.__setattr__(self, name, tuple(v))
         # cell-level validation, fail fast
-        object.__setattr__(self, "_cells", self.expand())
-
-    def expand(self) -> tuple[ExperimentSpec, ...]:
-        """Every cell of the grid as a validated :class:`ExperimentSpec`."""
-        return tuple(
+        object.__setattr__(self, "_cells", tuple(
             ExperimentSpec(mechanism=mech, pattern=self.pattern,
                            pattern_kwargs=dict(self.pattern_kwargs),
                            rate=rate, gated_fraction=frac,
@@ -384,7 +379,12 @@ class SweepSpec:
                            overrides=dict(self.overrides))
             for mech in self.mechanisms
             for rate in self.rates
-            for frac in self.gated_fractions)
+            for frac in self.gated_fractions))
+
+    def expand(self) -> tuple[ExperimentSpec, ...]:
+        """Every cell of the grid as a validated :class:`ExperimentSpec`
+        (the tuple built with the sweep)."""
+        return self._cells
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -470,20 +470,6 @@ def load_spec_file(path: str) -> "ExperimentSpec | SweepSpec":
     return _spec_from_mapping(data)
 
 
-# ``ExperimentSpec.from_file`` / ``SweepSpec.from_file`` aliases: load a
-# file and require that it contains the right spec flavor.
-def _from_file(cls: type, path: str) -> Any:
-    spec = load_spec_file(path)
-    if not isinstance(spec, cls):
-        raise SpecError(f"{path!r} contains a {type(spec).__name__}, "
-                        f"expected {cls.__name__}")
-    return spec
-
-
-ExperimentSpec.from_file = classmethod(_from_file)  # type: ignore[attr-defined]
-SweepSpec.from_file = classmethod(_from_file)  # type: ignore[attr-defined]
-
-
 # -- job envelopes (experiment service) ---------------------------------------
 
 @dataclass(frozen=True)
@@ -540,7 +526,7 @@ class JobEnvelope:
     def cells(self) -> tuple[ExperimentSpec, ...]:
         """The experiment cells this job executes, in engine order."""
         if isinstance(self.spec, SweepSpec):
-            return self.spec._cells
+            return self.spec.expand()
         return (self.spec,)
 
     def dedupe_key(self) -> str:

@@ -113,7 +113,7 @@ def test_reschedule_files_every_queued_item():
     assert sink.got == [(2, 1, 0), (2, 2, 0), (5, 3, 0)]
 
 
-# -- stale entries (clear / manual receive) -------------------------------------
+# -- stale entries (clear / an out-of-band pop, as a link outage makes) -------
 
 def test_clear_leaves_stale_bucket_that_kernel_drops():
     net, ch, sink = _net_with_probe()
@@ -132,7 +132,7 @@ def test_clear_leaves_stale_bucket_that_kernel_drops():
 def test_manual_receive_leaves_stale_bucket_that_kernel_drops():
     net, ch, sink = _net_with_probe()
     ch.send_at(4, arrival=2)
-    assert ch.receive(2) == [4]  # drained out-of-band
+    assert ch._q.popleft() == (2, 4)  # drained out-of-band
     assert len(ch) == 0 and _entries(net._credit_wheel, ch) == {2: 1}
     net.step(4)
     assert sink.got == []
@@ -159,7 +159,7 @@ def test_stale_entry_does_not_pop_an_item_before_its_arrival():
     the head is not due, so it waits for its own entry."""
     net, ch, sink = _net_with_probe()
     ch.send_at(1, arrival=2)
-    assert ch.receive(2) == [1]
+    assert ch._q.popleft() == (2, 1)  # drained out-of-band
     ch.send_at(2, arrival=4)
     net.step(3)  # cycle 2: stale entry, head due at 4 -> dropped
     assert sink.got == [] and len(ch) == 1
@@ -185,11 +185,10 @@ def test_latency_validation_and_len_bool():
         DelayChannel(latency=0)
     ch = DelayChannel(latency=2)
     assert not ch and len(ch) == 0
-    ch.send("x", now=0)
+    ch.send_at("x", 0 + ch.latency)
     assert ch and len(ch) == 1
     assert ch.sent == 1
-    assert ch.receive(1) == []
-    assert ch.receive(2) == ["x"]
+    assert list(ch.peek_arrivals()) == [(2, "x")]
 
 
 # -- simulator-wide promise ----------------------------------------------------

@@ -69,15 +69,21 @@ def test_vc_indexing():
     assert cfg.vc_index(0, 0) == 0
     assert cfg.vc_index(2, 3) == 11
     assert cfg.escape_vc_of(1) == 7
-    assert cfg.is_escape_vc(3) and cfg.is_escape_vc(7) and cfg.is_escape_vc(11)
-    assert not cfg.is_escape_vc(0) and not cfg.is_escape_vc(6)
-    assert cfg.vnet_of(0) == 0 and cfg.vnet_of(7) == 1 and cfg.vnet_of(11) == 2
+    # vnet v owns global indices [v * vcs_per_vnet, (v + 1) * vcs_per_vnet),
+    # regular VCs first, its escape VC(s) last
+    for vnet in range(cfg.num_vnets):
+        for k in range(cfg.vcs_per_vnet):
+            vc = cfg.vc_index(vnet, k)
+            assert vc // cfg.vcs_per_vnet == vnet
+            assert (vc % cfg.vcs_per_vnet >= cfg.num_vcs) == \
+                (vc == cfg.escape_vc_of(vnet))
 
 
 def test_with_replacement():
-    cfg = NoCConfig()
-    cfg2 = cfg.with_(width=4, height=4)
-    assert cfg2.width == 4 and cfg.width == 8
+    # table1_config's overrides replace fields of the frozen record
+    cfg = table1_config(width=4, height=4)
+    assert (cfg.width, cfg.height, cfg.buffer_depth) == (4, 4, 6)
+    assert table1_config().width == 8
 
 
 def test_power_config_cycle_time():

@@ -42,7 +42,7 @@ def test_escape_packets_use_escape_vc():
             for d in r.ports:
                 for vci, vc in enumerate(r.ivc[d]):
                     if vc.buffer and vc.buffer[0].packet.escaped \
-                            and cfg.is_escape_vc(vci):
+                            and vci % cfg.vcs_per_vnet >= cfg.num_vcs:
                         escaped_seen = True
     assert all(p.eject_time > 0 for p in pkts)
     assert any(p.escaped for p in pkts)

@@ -1,7 +1,7 @@
 """Randomized fault soaks (``repro.faults.soak``).
 
 Tier-1 keeps a bounded smoke set — every mechanism sees every fault
-mechanism class at least once, fanned out through ``ParallelSweep`` —
+mechanism class at least once, fanned out through ``PoolExecutor.map`` —
 and checks the triage path on a deliberately wedged network.  The long
 randomized campaigns are marked ``soak`` (tier-2).
 """
@@ -13,7 +13,7 @@ import pytest
 from repro.config import MECHANISMS, NoCConfig
 from repro.faults import (FaultInjector, FaultPlan, FaultSoakReport,
                           FaultSoakSpec, diagnose_liveness, run_fault_soak)
-from repro.harness.parallel import ParallelSweep
+from repro.harness.parallel import PoolExecutor
 from repro.noc.network import Network
 
 #: the tier-1 matrix: 4 mechanisms x all fault classes that apply to
@@ -33,8 +33,7 @@ SMOKE_SPECS = [
 
 
 def test_smoke_soaks_recover_across_mechanisms():
-    reports = ParallelSweep(use_cache=False).map_callable(
-        run_fault_soak, SMOKE_SPECS)
+    reports = PoolExecutor().map(run_fault_soak, SMOKE_SPECS)
     assert len(reports) == len(SMOKE_SPECS)
     for rep in reports:
         assert isinstance(rep, FaultSoakReport)

@@ -19,9 +19,8 @@ import pytest
 
 from repro.config import TECH, NoCConfig, table1_config
 from repro.fullsystem import PARSEC
-from repro.gating.schedule import random_epochs
-from repro.harness import (FIGURE_MECHANISMS, ParallelSweep, SweepTask,
-                           run_spec, run_sweep_spec)
+from repro.harness import (FIGURE_MECHANISMS, ParallelSweep, PoolExecutor,
+                           SweepTask, run_spec, run_sweep_spec)
 from repro.noc.stats import StatsCollector
 from repro.power.dsent import link_static_w, router_breakdown
 from repro.power.overhead import flov_overhead_report
@@ -123,14 +122,12 @@ def test_fig10_reconfiguration_spike():
     change1, change2 = total // 2, int(total * 0.6)
     window = total // 40
     mechs = ("rp", "gflov")
-    results = run([SweepTask(ExperimentSpec(mech, pattern="uniform",
-                                            rate=0.02, warmup=0,
-                                            measure=total,
-                                            keep_samples=True, seed=9),
-                             schedule=random_epochs(64, [0.10, 0.10, 0.10],
-                                                    [change1, change2],
-                                                    seed=9))
-                   for mech in mechs])
+    results = run([SweepTask(ExperimentSpec(
+        mech, pattern="uniform", rate=0.02, warmup=0, measure=total,
+        keep_samples=True, seed=9,
+        schedule={"kind": "random_epochs", "fractions": [0.10, 0.10, 0.10],
+                  "boundaries": [change1, change2], "seed": 9}))
+        for mech in mechs])
     peaks = {}
     for mech, res in zip(mechs, results):
         sc = StatsCollector(3, keep_samples=True)
@@ -156,11 +153,12 @@ def test_ablation_wakeup_latency():
     bounds = [period * (i + 1) for i in range(5)]
     wls = (5, 10, 20, 50, 100)
     results = dict(zip(wls, run([
-        SweepTask(ExperimentSpec("gflov", rate=0.02, warmup=0,
-                                 measure=WARMUP + MEASURE, seed=11,
-                                 overrides={"wakeup_latency": wl}),
-                  schedule=random_epochs(64, [0.5, 0.2, 0.5, 0.3, 0.5, 0.2],
-                                         bounds, seed=11))
+        SweepTask(ExperimentSpec(
+            "gflov", rate=0.02, warmup=0, measure=WARMUP + MEASURE, seed=11,
+            overrides={"wakeup_latency": wl},
+            schedule={"kind": "random_epochs",
+                      "fractions": [0.5, 0.2, 0.5, 0.3, 0.5, 0.2],
+                      "boundaries": bounds, "seed": 11}))
         for wl in wls])))
     for r in results.values():
         assert r.gating_events > 0, "churn workload must exercise wakeups"
@@ -263,7 +261,7 @@ def test_fig8cd_parsec_headline():
                             seed=5)
              for bench in PARSEC for mech in FIGURE_MECHANISMS]
     results = dict(zip(((s.workload, s.mechanism) for s in specs),
-                       engine().map_callable(run_spec, specs)))
+                       PoolExecutor().map(run_spec, specs)))
     avg = {}
     for mech in ("rp", "gflov"):
         ratios = {"static": [], "total": [], "runtime": []}

@@ -19,14 +19,18 @@ import pytest
 
 from repro.config import MECHANISMS
 from repro.harness import run_spec
-from repro.spec import ExperimentSpec
+from repro.spec import ExperimentSpec, load_spec_file
 
 EQ_KW = dict(rate=0.04, warmup=200, measure=800, seed=11)
 
 
-def run(mech, *, schedule=None, tracer=None, **kw):
-    return run_spec(ExperimentSpec(mech, **kw), schedule=schedule,
-                    tracer=tracer)
+#: the mid-run reconfigurations of the epoch-gating cases
+EPOCHS = {"kind": "random_epochs", "fractions": [0.2, 0.7, 0.4],
+          "boundaries": [400, 700], "seed": 5}
+
+
+def run(mech, *, tracer=None, **kw):
+    return run_spec(ExperimentSpec(mech, **kw), tracer=tracer)
 
 
 def _pair(mech, **kw):
@@ -63,11 +67,8 @@ def test_kernels_bit_identical_under_epoch_gating(mechanism):
     """Mid-run gated-set changes: exercises the change-point cursor, RP's
     network-wide reconfiguration stalls, and wakeup storms under both
     kernels."""
-    from repro.gating.schedule import random_epochs
-
-    sched = random_epochs(64, (0.2, 0.7, 0.4), (400, 700), seed=5)
     dense, active = _pair(mechanism, pattern="uniform", gated_fraction=0.0,
-                          schedule=sched, **EQ_KW)
+                          schedule=EPOCHS, **EQ_KW)
     assert dense == active
 
 
@@ -77,7 +78,7 @@ def test_fig6_cell_example_spec_identical_on_both_kernels():
     from pathlib import Path
 
     specs = Path(__file__).resolve().parents[1] / "examples" / "specs"
-    spec = ExperimentSpec.from_file(str(specs / "fig6_cell.toml"))
+    spec = load_spec_file(str(specs / "fig6_cell.toml"))
     assert run_spec(replace(spec, kernel="dense")) == \
         run_spec(replace(spec, kernel="active"))
 
@@ -150,15 +151,12 @@ def test_kernels_emit_identical_event_streams_under_epoch_gating():
     """Same differential check across mid-run reconfigurations, where the
     active kernel's change-point cursor and wakeup storms diverge most
     readily from the dense scan."""
-    from repro.gating.schedule import random_epochs
     from repro.obs import Tracer
 
-    sched = random_epochs(64, (0.2, 0.7, 0.4), (400, 700), seed=5)
     td, ta = Tracer(), Tracer()
-    dense = run("gflov", kernel="dense", tracer=td,
-                schedule=sched, **EQ_KW)
-    active = run("gflov", kernel="active", tracer=ta,
-                 schedule=sched, **EQ_KW)
+    dense = run("gflov", kernel="dense", tracer=td, schedule=EPOCHS, **EQ_KW)
+    active = run("gflov", kernel="active", tracer=ta, schedule=EPOCHS,
+                 **EQ_KW)
     assert dense == active
     assert _normalized_trace(td.events()) == _normalized_trace(ta.events())
 
@@ -327,8 +325,8 @@ def test_wheel_tolerates_clear_and_manual_receive():
     net.step(4)                     # ...stale entry is dropped
     assert _wheel_entries(net, ch) == [] and _delivered(flits) == []
     ch.send_at(flits[1], net.cycle + 2)
-    taken = ch.receive(net.cycle + 2)   # manual drain before the bucket
-    assert len(taken) == 1
+    ch._q.popleft()                 # out-of-band drain before the bucket
+    assert not ch
     net.step(4)
     assert _wheel_entries(net, ch) == [] and _delivered(flits) == []
     due = net.cycle + 1

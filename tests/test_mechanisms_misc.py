@@ -4,7 +4,9 @@ import pytest
 
 from repro import NoCConfig, Network
 from repro.baselines.yx import xy_route, yx_route
+from repro.core.power_fsm import PowerState
 from repro.core.routing import Route
+from repro.gating.schedule import StaticGating
 from repro.noc.mechanism import BaselineMechanism
 from repro.noc.types import Direction
 
@@ -81,13 +83,18 @@ def test_allowed_vcs_policies():
 
 
 def test_gateable_routers():
-    flov = Network(NoCConfig(mechanism="gflov"))
-    gateable = flov.mech.gateable_routers
-    aon = {flov.cfg.node_id(7, y) for y in range(8)}
-    assert gateable == frozenset(range(64)) - aon
+    """With every core gated and no traffic, gFLOV parks every router but
+    the AON column; Baseline parks none."""
+    def sleeping(mechanism):
+        net = Network(NoCConfig(mechanism=mechanism))
+        net.set_gating(StaticGating(64, 1.0))
+        net.step(400)
+        return {r.node for r in net.routers
+                if r.state == PowerState.SLEEP}
 
-    base = Network(NoCConfig(mechanism="baseline"))
-    assert base.mech.gateable_routers == frozenset()
+    aon = {NoCConfig().node_id(7, y) for y in range(8)}
+    assert sleeping("gflov") == set(range(64)) - aon
+    assert sleeping("baseline") == set()
 
 
 def test_mechanism_base_noops():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.noc.buffer import InputVC, VCState
+from repro import NoCConfig, Network
+from repro.noc.buffer import VCState
 from repro.noc.channel import DelayChannel
 from repro.noc.stats import StatsCollector
 from repro.noc.types import (DIR_DELTA, MESH_DIRS, OPPOSITE, Direction,
@@ -11,20 +12,27 @@ from repro.noc.types import (DIR_DELTA, MESH_DIRS, OPPOSITE, Direction,
 
 # ------------------------------------------------------------------ channels
 
+def _wired(latency):
+    """A channel bound to a timing wheel, as the network wires it."""
+    ch = DelayChannel(latency=latency)
+    wheel: dict = {}
+    ch.bind(wheel, None, None)
+    return ch, wheel
+
+
 def test_channel_latency():
-    ch = DelayChannel(latency=2)
-    ch.send("a", now=10)
-    assert ch.receive(10) == []
-    assert ch.receive(11) == []
-    assert ch.receive(12) == ["a"]
-    assert ch.receive(13) == []
+    ch, wheel = _wired(2)
+    ch.send_at("a", 10 + ch.latency)
+    assert list(wheel) == [12] and wheel[12] == [ch]
+    assert list(ch.peek_arrivals()) == [(12, "a")]
 
 
 def test_channel_order_preserved():
-    ch = DelayChannel(latency=1)
+    ch, wheel = _wired(1)
     for i in range(5):
-        ch.send(i, now=i)
-    assert ch.receive(100) == [0, 1, 2, 3, 4]
+        ch.send_at(i, i + 1)
+    assert [a for a, _ in ch.peek_arrivals()] == sorted(wheel)
+    assert [item for _, item in ch.peek_arrivals()] == [0, 1, 2, 3, 4]
 
 
 def test_channel_send_at_monotone():
@@ -36,8 +44,8 @@ def test_channel_send_at_monotone():
 
 def test_channel_clear_and_len():
     ch = DelayChannel(latency=1)
-    ch.send("a", 0)
-    ch.send("b", 1)
+    ch.send_at("a", 1)
+    ch.send_at("b", 2)
     assert len(ch) == 2 and bool(ch)
     ch.clear()
     assert len(ch) == 0 and not ch
@@ -54,20 +62,38 @@ def _flits(pid=1, size=4, src=0, dest=1):
     return make_packet(pid, src, dest, size)
 
 
+def _west_vc0(capacity=6):
+    """Router 1 of a 2x2 mesh and its WEST input VC 0."""
+    net = Network(NoCConfig(width=2, height=2, buffer_depth=capacity))
+    r = net.routers[1]
+    return r, r.ivc[Direction.WEST][0]
+
+
+def _deliver(router, flits, now=0):
+    """Hand flits to the router the way a link delivers them."""
+    for f in flits:
+        f.vc = 0
+        router.deliver_flit(f, Direction.WEST, now)
+
+
+def _grant(vc, out_port, out_vc):
+    """What the router's VA does to a ROUTING VC it grants."""
+    assert vc.state == VCState.ROUTING
+    vc.state = VCState.ACTIVE
+    vc.out_port, vc.out_vc = out_port, out_vc
+
+
 def test_vc_head_starts_routing():
-    vc = InputVC(capacity=4)
-    flits = _flits()
-    vc.push(flits[0], now=0)
+    r, vc = _west_vc0(4)
+    _deliver(r, _flits()[:1])
     assert vc.state == VCState.ROUTING
     assert vc.wait_since == 0
 
 
 def test_vc_tail_pop_frees():
-    vc = InputVC(capacity=6)
-    for f in _flits():
-        vc.push(f, now=0)
-    vc.allocate(Direction.EAST, 2)
-    assert vc.state == VCState.ACTIVE
+    r, vc = _west_vc0(6)
+    _deliver(r, _flits())
+    _grant(vc, Direction.EAST, 2)
     for _ in range(4):
         vc.pop(now=5)
     assert vc.state == VCState.IDLE
@@ -76,12 +102,9 @@ def test_vc_tail_pop_frees():
 
 def test_vc_multi_packet_refresh():
     """Old tail followed by new head: popping the tail re-enters ROUTING."""
-    vc = InputVC(capacity=8)
-    p1 = _flits(pid=1, size=2)
-    p2 = _flits(pid=2, size=2)
-    for f in p1 + p2:
-        vc.push(f, now=0)
-    vc.allocate(Direction.NORTH, 0)
+    r, vc = _west_vc0(8)
+    _deliver(r, _flits(pid=1, size=2) + _flits(pid=2, size=2))
+    _grant(vc, Direction.NORTH, 0)
     vc.pop(now=1)
     assert vc.state == VCState.ACTIVE
     vc.pop(now=2)  # tail of p1
@@ -90,26 +113,20 @@ def test_vc_multi_packet_refresh():
 
 
 def test_vc_overflow_raises():
-    vc = InputVC(capacity=1)
+    r, vc = _west_vc0(1)
     f = _flits(size=2)
-    vc.push(f[0], now=0)
+    _deliver(r, f[:1])
     with pytest.raises(OverflowError):
-        vc.push(f[1], now=0)
+        _deliver(r, f[1:])
 
 
 def test_vc_release_route():
-    vc = InputVC(capacity=4)
-    vc.push(_flits()[0], now=0)
-    vc.allocate(Direction.WEST, 1)
+    r, vc = _west_vc0(4)
+    _deliver(r, _flits()[:1])
+    _grant(vc, Direction.WEST, 1)
     vc.release_route(now=7)
     assert vc.state == VCState.ROUTING
     assert vc.wait_since == 7
-
-
-def test_vc_allocate_requires_routing():
-    vc = InputVC(capacity=4)
-    with pytest.raises(RuntimeError):
-        vc.allocate(Direction.EAST, 0)
 
 
 # -------------------------------------------------------------------- types

@@ -53,7 +53,7 @@ def test_tracer_records_in_order_and_counts():
     tr = Tracer(capacity=64)
     for ev in _sample_events():
         tr.emit(ev.cycle, ev.kind, ev.node, *ev.data)
-    assert tr.recorded == 10 and tr.dropped == 0 and len(tr) == 10
+    assert tr.recorded == 10 and tr.dropped == 0
     assert tr.events() == _sample_events()
 
 
@@ -63,7 +63,6 @@ def test_tracer_ring_wraparound_keeps_newest():
         tr.emit(i, "escape", 0, i)
     assert tr.recorded == 20
     assert tr.dropped == 12
-    assert len(tr) == 8
     evs = tr.events()
     # oldest-first, exactly the final 8 emissions survive
     assert [ev.cycle for ev in evs] == list(range(12, 20))
@@ -89,13 +88,6 @@ def test_tracer_kind_filter_and_validation():
         Tracer(kinds=("power", "hs_sned"))
     with pytest.raises(ValueError, match="capacity"):
         Tracer(capacity=0)
-
-
-def test_tracer_clear():
-    tr = Tracer(capacity=4)
-    tr.emit(0, "escape", 0, 1)
-    tr.clear()
-    assert len(tr) == 0 and tr.recorded == 0 and tr.events() == []
 
 
 def test_untraced_network_emits_nothing_and_stays_detached():

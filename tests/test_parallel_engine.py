@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from repro.harness import (BatchedExecutor, ParallelSweep, ResultCache,
-                           SweepTask, default_jobs, default_task_timeout,
+from repro.harness import (BatchedExecutor, ParallelSweep, PoolExecutor,
+                           ResultCache, SweepTask, default_jobs,
                            run_sweep_spec)
 from repro.harness import parallel as parallel_mod
 from repro.spec import ExperimentSpec, SweepSpec
@@ -51,14 +51,6 @@ def test_default_jobs_env_override(monkeypatch):
     assert default_jobs() == (os.cpu_count() or 1)
 
 
-def test_default_timeout_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_TASK_TIMEOUT", "12.5")
-    assert default_task_timeout() == 12.5
-    monkeypatch.setenv("REPRO_TASK_TIMEOUT", "soon")
-    with pytest.warns(RuntimeWarning, match="REPRO_TASK_TIMEOUT"):
-        assert default_task_timeout() == 600.0
-
-
 def test_engine_honors_repro_jobs(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "3")
     assert ParallelSweep().max_workers == 3
@@ -81,13 +73,15 @@ def test_pool_path_matches_serial():
     assert _eng(max_workers=2).run(tasks) == _eng(max_workers=1).run(tasks)
 
 
-def test_map_callable_pool_and_serial():
+def test_pool_map_pool_and_serial():
     items = list(range(8))
-    assert _eng(max_workers=2).map_callable(_square, items) == \
-        [x * x for x in items]
-    assert _eng(max_workers=1).map_callable(_square, items) == \
-        [x * x for x in items]
-    assert _eng(max_workers=2).map_callable(_square, []) == []
+    pool = PoolExecutor(2)
+    assert pool.map(_square, items) == [x * x for x in items]
+    assert pool.mode == "parallel"
+    serial = PoolExecutor(1)
+    assert serial.map(_square, items) == [x * x for x in items]
+    assert serial.mode == "serial"
+    assert PoolExecutor(2).map(_square, []) == []
 
 
 def test_pool_creation_failure_falls_back_serial(monkeypatch):
@@ -99,30 +93,29 @@ def test_pool_creation_failure_falls_back_serial(monkeypatch):
         out = eng.run(_tasks())
     assert eng.last_mode == "serial"
     assert len(out) == 3
+    pool = PoolExecutor(4)
     with pytest.warns(RuntimeWarning, match="process pool unavailable"):
-        assert eng.map_callable(_square, [1, 2, 3]) == [1, 4, 9]
+        assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
+    assert pool.mode == "serial"
 
 
 def test_unpicklable_payload_falls_back_serial():
-    eng = _eng(max_workers=2)
     items = [1, 2]
     with pytest.warns(RuntimeWarning, match="running serially|failed"):
-        out = eng.map_callable(lambda x: x + 1, items)  # lambda: unpicklable
+        out = PoolExecutor(2).map(lambda x: x + 1, items)  # unpicklable
     assert out == [2, 3]
 
 
 def test_worker_failure_retries_once_then_raises():
-    eng = _eng(max_workers=2)
     with pytest.warns(RuntimeWarning, match="retrying"):
         with pytest.raises(RuntimeError, match="boom"):
-            eng.map_callable(_fail_always, [1, 2])
+            PoolExecutor(2).map(_fail_always, [1, 2])
 
 
 def test_timeout_retries_in_process():
     # two items so the pool path (the only one with timeouts) is taken
-    eng = _eng(max_workers=2, task_timeout=0.15)
     with pytest.warns(RuntimeWarning, match="retrying"):
-        out = eng.map_callable(_sleepy, [41, 42])
+        out = PoolExecutor(2, task_timeout=0.15).map(_sleepy, [41, 42])
     assert out == [41, 42]
 
 
@@ -135,6 +128,28 @@ def test_sweep_accepts_config_overrides():
                   measure=400, overrides={"width": 4, "height": 4}),
         engine=eng)
     assert out["gflov"][0].packets > 0
+
+
+def test_warm_sweep_constructs_no_cells(tmp_path, monkeypatch):
+    """A sweep's cells are built once, with the SweepSpec: a warm replay
+    of a 20-cell grid constructs no ExperimentSpec."""
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    sweep = SweepSpec(mechanisms=("baseline", "rp", "rflov", "gflov"),
+                      gated_fractions=(0.0, 0.2, 0.4, 0.6, 0.8), warmup=20,
+                      measure=60, overrides={"width": 4, "height": 4})
+    engine = ParallelSweep(max_workers=1, cache=ResultCache(tmp_path / "c"))
+    cold = run_sweep_spec(sweep, engine=engine)
+    built = []
+    real = ExperimentSpec.__post_init__
+
+    def counting(self):
+        built.append(self.mechanism)
+        real(self)
+
+    monkeypatch.setattr(ExperimentSpec, "__post_init__", counting)
+    assert run_sweep_spec(sweep, engine=engine) == cold
+    assert engine.last_cache_hits == 20
+    assert built == []
 
 
 def test_progress_callback_reports_cache_state(tmp_path):

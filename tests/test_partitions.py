@@ -3,8 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.partitions import (CARDINAL_DIR, QUADRANT_DIRS, is_cardinal,
-                                   is_quadrant, partition)
+from repro.core.partitions import CARDINAL_DIR, QUADRANT_DIRS, partition
 from repro.noc.types import Direction
 
 COORD = st.integers(min_value=0, max_value=7)
@@ -29,11 +28,10 @@ def test_self_partition():
 
 
 def test_classifiers():
-    for p in (1, 3, 5, 7):
-        assert is_cardinal(p) and not is_quadrant(p)
-    for p in (0, 2, 4, 6):
-        assert is_quadrant(p) and not is_cardinal(p)
-    assert not is_cardinal(-1) and not is_quadrant(-1)
+    # the routing functions classify a partition by these two tables
+    assert set(CARDINAL_DIR) == {1, 3, 5, 7}
+    assert set(QUADRANT_DIRS) == {0, 2, 4, 6}
+    assert -1 not in CARDINAL_DIR and -1 not in QUADRANT_DIRS
 
 
 def test_cardinal_direction_map():
@@ -70,7 +68,7 @@ def test_partition_direction_consistency(cx, cy, dx, dy):
     if p == -1:
         return
     from repro.noc.types import DIR_DELTA
-    if is_cardinal(p):
+    if p in CARDINAL_DIR:
         sx, sy = DIR_DELTA[CARDINAL_DIR[p]]
         assert (dx - cx) * sx >= 0 and (dy - cy) * sy >= 0
         assert (dx - cx) * sx + (dy - cy) * sy > 0

@@ -62,16 +62,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 EXAMPLE_SPECS = SRC.parents[1] / "examples" / "specs"
 
 #: the reasons an unreached function may be allowlisted for:
-#: *test oracle* — a reference the tests check the product against;
-#: *test-only* — only tests call it (ROADMAP 8 deletes these one per
-#: change or gives them a product caller); *opt-in entry point* — a
-#: command, flag, spec field or library call no CI path drives;
+#: *test oracle* — an independent re-implementation the tests compare
+#: the product against; *opt-in entry point* — a command, flag, spec
+#: field or library call no CI path drives;
 #: *queued for deletion* — a ROADMAP item removes it; *timing-only* /
 #: *scale-only* / *failure path* — product code that runs only when an
 #: event lands at a particular moment, at a scale the gate cannot
 #: afford, or when something fails; *interface stub* — a protocol or
 #: base-class hook body no concrete path calls; *debugging aid*.
-REASON_KINDS = ("test oracle", "test-only", "opt-in entry point",
+REASON_KINDS = ("test oracle", "opt-in entry point",
                 "queued for deletion", "timing-only", "scale-only",
                 "failure path", "interface stub", "debugging aid")
 
@@ -83,64 +82,10 @@ ALLOWLIST: dict[str, str] = {
         "test oracle: every structural invariant of a live mesh at once",
     "core/routing.py::escape_turn_legal":
         "test oracle: the escape network's turn model, checked per hop",
-    # only tests call these
-    "config.py::NoCConfig.with_": "test-only: dataclasses.replace wrapper",
-    "config.py::NoCConfig.is_escape_vc": "test-only: VC index arithmetic",
-    "config.py::NoCConfig.vnet_of": "test-only: VC index arithmetic",
-    "config.py::NoCConfig.from_dict": "test-only: to_dict round trip",
-    "config.py::NoCConfig.canonical_json":
-        "test-only: cache keys hash the spec, not the config",
-    "config.py::NoCConfig.stable_hash":
-        "test-only: cache keys hash the spec, not the config",
-    "core/partitions.py::is_cardinal": "test-only: partition predicate",
-    "core/partitions.py::is_quadrant": "test-only: partition predicate",
-    "noc/mechanism.py::Mechanism.gateable_routers":
-        "test-only: no report reads it",
-    "core/flov.py::FlovMechanism.gateable_routers":
-        "test-only: no report reads it",
-    "baselines/nord.py::NordMechanism.gateable_routers":
-        "test-only: no report reads it",
-    "baselines/router_parking.py::RouterParkingMechanism.gateable_routers":
-        "test-only: no report reads it",
-    "gating/schedule.py::GatingSchedule.active_at":
-        "test-only: the generator reads gated_at",
-    "noc/buffer.py::InputVC.push":
-        "test-only: the delivery loop appends in place",
-    "noc/buffer.py::InputVC.allocate":
-        "test-only: the router's VA sets the VC fields in place",
-    "noc/channel.py::DelayChannel.send":
-        "test-only: the router sends with send_at",
-    "noc/channel.py::DelayChannel.receive":
-        "test-only: the kernels pop through the timing wheels",
-    "faults/injector.py::FaultInjector.snapshot_state":
-        "test-only: no product path checkpoints a run with faults attached",
-    "faults/injector.py::FaultInjector.restore_state":
-        "test-only: no product path checkpoints a run with faults attached",
-    "harness/parallel.py::SerialExecutor.map":
-        "test-only: serial fan-out runs through PoolExecutor(1)",
-    "harness/cache.py::ResultCache.__len__": "test-only: entry count",
-    "harness/cache.py::ResultCache.clear":
-        "test-only: tests and bench/ empty a scratch cache",
-    "registry.py::Registry.items": "test-only: registry listing",
-    "registry.py::Registry.__iter__": "test-only: registry listing",
-    "registry.py::Registry.__len__": "test-only: registry listing",
-    "fullsystem/cache.py::SetAssocCache.__len__": "test-only: occupancy",
-    "obs/tracer.py::Tracer.__len__": "test-only: ring occupancy",
-    "obs/tracer.py::Tracer.clear": "test-only: ring reset",
-    "obs/spans.py::SpanTracer.__len__": "test-only: buffer occupancy",
-    "obs/spans.py::SpanTracer.clear": "test-only: buffer reset",
-    "obs/spans.py::SpanContext.to_dict": "test-only: dict round trip",
-    "obs/spans.py::SpanContext.from_dict": "test-only: dict round trip",
-    "obs/analysis.py::Journey.path": "test-only: per-journey detail",
-    "obs/analysis.py::Journey.segments": "test-only: per-journey detail",
-    "obs/analysis.py::Journey.as_dict": "test-only: per-journey detail",
-    "noc/stats.py::LatencyBreakdown.as_dict": "test-only: dict view",
-    "service/jobs.py::JobStore.__contains__": "test-only: membership",
-    "service/queue.py::JobQueue.__contains__": "test-only: membership",
-    "spec.py::_from_file":
-        "test-only: ExperimentSpec/SweepSpec.from_file aliases",
     # opt-in entry points
     "obs/profile.py": "opt-in entry point: `repro profile` and bench/",
+    "harness/cache.py::ResultCache.clear":
+        "opt-in entry point: bench/ empties a scratch cache",
     "cli.py::cmd_profile": "opt-in entry point: `repro profile`",
     "obs/logging.py": "opt-in entry point: `repro serve --log-json`",
     "obs/spans.py::current_span_context":
@@ -198,8 +143,6 @@ ALLOWLIST: dict[str, str] = {
         "opt-in entry point: spec `schedule = {kind = \"static\"}`",
     "gating/schedule.py::_build_epoch":
         "opt-in entry point: spec `schedule = {kind = \"epoch\"}`",
-    "gating/schedule.py::_build_random_epochs":
-        "opt-in entry point: spec `schedule = {kind = \"random_epochs\"}`",
     "baselines/updown.py::average_distance":
         "opt-in entry point: `rp_policy = \"adaptive\"`",
     "harness/parallel.py::SweepTask.from_spec":
@@ -221,16 +164,10 @@ ALLOWLIST: dict[str, str] = {
     "noc/stats.py::StatsCollector.latency_windows":
         "opt-in entry point: per-window latency of a keep_samples run",
     # timing-, scale- and failure-only product code
-    "core/handshake.py::HandshakeController._encode_msg":
-        "timing-only: a checkpoint lands while handshake messages fly",
     "core/handshake.py::HandshakeController._decode_msg":
-        "timing-only: a checkpoint lands while handshake messages fly",
-    "noc/snapshot.py::encode_value":
         "timing-only: a checkpoint lands while handshake messages fly",
     "noc/snapshot.py::decode_value":
         "timing-only: a checkpoint lands while handshake messages fly",
-    "noc/router.py::Router._adopt_midstream":
-        "timing-only: a router wakes while a packet's body flits fly",
     "noc/router.py::Router._clear_active":
         "timing-only: a granted route is dropped (escape escalation)",
     "noc/buffer.py::InputVC.release_route":
@@ -504,6 +441,18 @@ def product_paths(tmp: Path) -> None:
         cell.write_text(json.dumps(payload))
         assert "result digest" in cli("submit", str(cell), "--port",
                                       str(port))
+        # a declarative gating schedule through JobEnvelope, the cache
+        # key and a worker gives what `repro spec run` gives
+        cell = tmp / "epochs.json"
+        cell.write_text(json.dumps({
+            "mechanism": "gflov", "rate": 0.02, "warmup": 100,
+            "measure": 400, "seed": 3,
+            "schedule": {"kind": "random_epochs",
+                         "fractions": [0.2, 0.6, 0.4],
+                         "boundaries": [150, 300], "seed": 3}}))
+        digest = re.search(r"result digest\s+(\S+)", cli(
+            "submit", str(cell), "--port", str(port))).group(1)
+        assert digest in cli("spec", "run", str(cell), "-j", "1")
     svc.stop()
     svc = ExperimentService(executor="serial", workers=1, state_dir=state)
     with ServiceClient(port=svc.start()) as client:

@@ -2,6 +2,7 @@
 misses, corruption is tolerated, and the env knobs work."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.config import NoCConfig
 from repro.harness import (CACHE_SCHEMA_VERSION, ParallelSweep, ResultCache,
                            SweepTask, result_from_dict, result_to_dict,
                            run_spec, spec_digest, stable_digest)
-from repro.spec import ExperimentSpec
+from repro.spec import ExperimentSpec, SpecError
 
 RUN_KW = dict(rate=0.04, gated_fraction=0.4, warmup=150, measure=500, seed=9)
 
@@ -19,9 +20,13 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
 
 
-def _task(mechanism="gflov", schedule=None, **over):
-    return SweepTask(ExperimentSpec(mechanism, **{**RUN_KW, **over}),
-                     schedule)
+def _task(mechanism="gflov", **over):
+    return SweepTask(ExperimentSpec(mechanism, **{**RUN_KW, **over}))
+
+
+def _entries(cache):
+    """Entries in the store directory (one JSON file per result)."""
+    return len(list(cache.root.glob("*/*.json")))
 
 
 def _engine(cache, **kw):
@@ -67,7 +72,7 @@ def test_changing_key_field_misses(cache, field, value):
     eng.run([_task()])
     eng.run([_task(**{field: value})])
     assert cache.hits == 0
-    assert len(cache) == 2
+    assert _entries(cache) == 2
 
 
 def test_changing_topology_misses(cache):
@@ -75,7 +80,7 @@ def test_changing_topology_misses(cache):
     eng.run([_task()])
     eng.run([_task(overrides={"width": 4, "height": 4})])
     assert cache.hits == 0
-    assert len(cache) == 2
+    assert _entries(cache) == 2
 
 
 def test_mechanism_misses(cache):
@@ -89,7 +94,7 @@ def test_corrupted_file_is_discarded_with_warning(cache):
     task = _task()
     eng = _engine(cache)
     first = eng.run([task])[0]
-    path = cache.path_for(task.cache_key())
+    path = cache.path_for(task.spec.cache_key())
     assert path.is_file()
     path.write_text("{ not json !!!")
     with pytest.warns(RuntimeWarning, match="corrupted cache entry"):
@@ -103,7 +108,7 @@ def test_schema_mismatch_is_discarded(cache):
     task = _task()
     eng = _engine(cache)
     eng.run([task])
-    path = cache.path_for(task.cache_key())
+    path = cache.path_for(task.spec.cache_key())
     payload = json.loads(path.read_text())
     payload["schema"] = CACHE_SCHEMA_VERSION + 1
     path.write_text(json.dumps(payload))
@@ -116,7 +121,7 @@ def test_schema_mismatch_is_discarded(cache):
 def test_truncated_result_payload_is_discarded(cache):
     task = _task()
     _engine(cache).run([task])
-    path = cache.path_for(task.cache_key())
+    path = cache.path_for(task.spec.cache_key())
     payload = json.loads(path.read_text())
     del payload["result"]["avg_latency"]
     path.write_text(json.dumps(payload))
@@ -130,7 +135,7 @@ def test_absent_entry_is_a_silent_miss(cache, in_place):
     warning, nothing unlinked, one miss counted."""
     import warnings
 
-    key = _task().cache_key()
+    key = _task().spec.cache_key()
     neighbour = cache.path_for({"other": 1})
     neighbour.parent.mkdir(parents=True)
     neighbour.write_text("{}")
@@ -172,16 +177,8 @@ def test_no_cache_env_bypasses(cache, monkeypatch):
     eng = _engine(cache)
     eng.run([_task()])
     eng.run([_task()])
-    assert len(cache) == 0
+    assert _entries(cache) == 0
     assert cache.hits == 0
-
-
-def test_schedule_tasks_are_uncacheable(cache):
-    from repro.gating.schedule import EpochGating
-    task = _task(schedule=EpochGating([(0, {5})]))
-    assert task.cache_key() is None
-    _engine(cache).run([task])
-    assert len(cache) == 0
 
 
 def test_result_roundtrip_bit_identical():
@@ -200,18 +197,22 @@ def test_stable_digest_is_order_insensitive():
 def test_config_serialization_roundtrip():
     cfg = NoCConfig(mechanism="rflov", width=6, height=4, seed=42,
                     escape_timeout=16)
-    assert NoCConfig.from_dict(cfg.to_dict()) == cfg
-    assert cfg.stable_hash() == cfg.with_().stable_hash()
-    assert cfg.stable_hash() != cfg.with_(seed=43).stable_hash()
-    with pytest.raises(ValueError, match="unknown NoCConfig fields"):
-        NoCConfig.from_dict({**cfg.to_dict(), "bogus": 1})
+    assert NoCConfig(**cfg.to_dict()) == cfg
+    # the cache key embeds the config, so hashing the spec hashes it
+    spec = ExperimentSpec("rflov", seed=42, overrides={
+        "width": 6, "height": 4, "escape_timeout": 16})
+    assert spec.cache_key()["config"] == cfg.to_dict()
+    assert spec_digest(spec) == spec_digest(replace(spec))
+    assert spec_digest(spec) != spec_digest(replace(spec, seed=43))
+    with pytest.raises(SpecError, match="unknown NoCConfig override"):
+        ExperimentSpec("rflov", overrides={"bogus": 1})
 
 
 def test_cache_clear(cache):
     _engine(cache).run([_task()])
-    assert len(cache) == 1
+    assert _entries(cache) == 1
     cache.clear()
-    assert len(cache) == 0
+    assert _entries(cache) == 0
 
 
 # -- atomic writes -------------------------------------------------------------
@@ -224,7 +225,7 @@ def test_interrupted_put_never_corrupts_a_warm_entry(cache, monkeypatch):
 
     task = _task()
     old = _engine(cache).run([task])[0]
-    assert cache.hits == 0 and len(cache) == 1
+    assert cache.hits == 0 and _entries(cache) == 1
 
     real_dump = json.dump
 
@@ -234,12 +235,12 @@ def test_interrupted_put_never_corrupts_a_warm_entry(cache, monkeypatch):
 
     monkeypatch.setattr(cache_mod.json, "dump", exploding_dump)
     with pytest.raises(KeyboardInterrupt):
-        cache.put(task.cache_key(), old)
+        cache.put(task.spec.cache_key(), old)
     monkeypatch.setattr(cache_mod.json, "dump", real_dump)
 
     # the old entry must still load bit-identically, and no temp
     # droppings may remain
-    assert cache.get(task.cache_key()) == old
+    assert cache.get(task.spec.cache_key()) == old
     assert not list(cache.root.rglob("*.tmp"))
 
 
@@ -250,7 +251,7 @@ def test_concurrent_puts_leave_a_valid_entry(cache):
 
     task = _task()
     result = _engine(cache).run([task])[0]
-    key = task.cache_key()
+    key = task.spec.cache_key()
     errors = []
 
     def hammer():

@@ -776,11 +776,12 @@ def test_store_hit_job_is_one_write_each_way_per_exchange(service,
 
 def test_each_submission_expands_and_keys_once(service, monkeypatch,
                                                tmp_path):
-    """Counted from the parsed body on: a sweep expands once (to
-    validate, at parse) and a job computes its dedupe key only when it
-    misses the store."""
-    calls = count_calls(monkeypatch, (SweepSpec, "expand"),
+    """Counted from the parsed body on: a sweep expands once (it builds
+    its cells to validate, at parse; ``expand()`` serves that tuple) and
+    a job computes its dedupe key only when it misses the store."""
+    calls = count_calls(monkeypatch, (SweepSpec, "__post_init__"),
                         (JobEnvelope, "dedupe_key"))
+    expand = "__post_init__"
     state = str(tmp_path / "state")
     svc, client = service(state_dir=state)
 
@@ -792,10 +793,10 @@ def test_each_submission_expands_and_keys_once(service, monkeypatch,
 
     calls.clear()
     assert job(FAST_SWEEP)["status"] == DONE
-    assert calls == {"expand": 1, "dedupe_key": 1}  # a sweep miss
+    assert calls == {expand: 1, "dedupe_key": 1}  # a sweep miss
     calls.clear()
     assert job(FAST_SWEEP)["status"] == CACHE_HIT
-    assert calls == {"expand": 1}  # a store-hit sweep
+    assert calls == {expand: 1}  # a store-hit sweep
     assert job(FAST)["status"] == DONE
     calls.clear()
     assert job(FAST)["status"] == CACHE_HIT
@@ -810,4 +811,4 @@ def test_each_submission_expands_and_keys_once(service, monkeypatch,
     calls.clear()
     _, client = service(state_dir=state)
     assert client.wait(queued.id)["status"] == DONE
-    assert calls == {"expand": 3, "dedupe_key": 1}
+    assert calls == {expand: 3, "dedupe_key": 1}

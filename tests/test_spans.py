@@ -51,7 +51,6 @@ def fast_task(seed: int = 1) -> SweepTask:
 def test_context_round_trips():
     ctx = SpanContext.new_root()
     assert ctx.parent_id is None
-    assert SpanContext.from_dict(ctx.to_dict()) == ctx
     assert pickle.loads(pickle.dumps(ctx)) == ctx
 
 
@@ -102,7 +101,6 @@ def test_bounded_buffer_counts_drops():
     for i in range(5):
         with tracer.span(f"s{i}"):
             pass
-    assert len(tracer) == 3
     assert tracer.dropped == 2
     assert tracer.recorded == 5
     assert [s["name"] for s in tracer.export()] == ["s2", "s3", "s4"]
@@ -115,7 +113,7 @@ def test_end_is_idempotent():
     first = sp.duration_ns
     sp.end()
     assert sp.duration_ns == first
-    assert len(tracer) == 1
+    assert len(tracer.export()) == 1
 
 
 def test_ingest_adopts_foreign_spans():
@@ -280,11 +278,17 @@ def test_batched_executor_fabricates_shared_interval_spans(tmp_path):
     assert validate_span_tree(tracer.export()) == []
 
 
-def test_span_context_never_in_cache_key():
+def test_span_context_never_in_cache_key(tmp_path):
     a, b = fast_task(), fast_task()
     b.span_context = SpanContext.new_root()
-    assert a.cache_key() == b.cache_key()
     assert a == b  # compare=False: tracing is identity-neutral
+    # a traced run files its result where an untraced one looks for it
+    cache = ResultCache(tmp_path / "cache")
+    ParallelSweep(max_workers=1, cache=cache,
+                  span_tracer=SpanTracer()).run([b])
+    warm = ParallelSweep(max_workers=1, cache=cache)
+    warm.run([a])
+    assert warm.last_cache_hits == 1
 
 
 # -- Prometheus exposition ----------------------------------------------------

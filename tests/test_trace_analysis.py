@@ -15,7 +15,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.config import NoCConfig
-from repro.gating.schedule import StaticGating, random_epochs
+from repro.gating.schedule import StaticGating
 from repro.harness import heat_grid, run_spec
 from repro.noc.network import Network
 from repro.registry import KERNELS
@@ -80,12 +80,14 @@ def test_journey_invariants(mechanism, gated, rate):
         assert j.inject_cycle >= j.create_cycle
         cycles = [h.cycle for h in j.hops]
         assert cycles == sorted(cycles)
-        assert j.path()[-1] == j.dest
+        assert j.hops[-1].node == j.dest
+        assert j.hops[-1].cycle <= j.eject_cycle
         assert j.router_hops + j.flov_hops == len(j.hops)
         assert j.link_hops == len(j.hops) - 1
-        segs = j.segments()
-        assert sum(d for _, _, d in segs) == j.eject_cycle - j.inject_cycle
-        assert segs[-1][1] == j.dest
+        # every hop after the first crossed exactly one mesh link
+        for a, b in zip(j.hops, j.hops[1:]):
+            assert abs(a.node % 8 - b.node % 8) + \
+                abs(a.node // 8 - b.node // 8) == 1
     if mechanism == "rp":
         assert all(j.flov_hops == 0 for j in js.journeys)
     else:
@@ -170,11 +172,12 @@ def test_congestion_metrics_summary():
 
 
 def _epoch_run():
-    schedule = random_epochs(64, [0.5, 0.1, 0.6], [1000, 1800], seed=7)
+    schedule = {"kind": "random_epochs", "fractions": [0.5, 0.1, 0.6],
+                "boundaries": [1000, 1800], "seed": 7}
     tracer = Tracer()
     result = run_spec(ExperimentSpec("gflov", rate=0.02, warmup=WARMUP,
-                                     measure=2500, seed=5),
-                      tracer=tracer, schedule=schedule, metrics_every=500)
+                                     measure=2500, seed=5, schedule=schedule),
+                      tracer=tracer, metrics_every=500)
     assert tracer.dropped == 0
     return tracer.events(), result
 

@@ -78,7 +78,7 @@ def test_unknown_pattern():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(sorted(set(PATTERNS) - {"transpose"})),
+@given(st.sampled_from(sorted(set(PATTERNS.names()) - {"transpose"})),
        st.integers(0, 63),
        st.sets(st.integers(0, 63), min_size=2, max_size=64))
 def test_patterns_respect_active_set(name, src, active_set):
@@ -184,4 +184,4 @@ def test_random_epochs():
 def test_base_schedule_nothing_gated():
     s = GatingSchedule()
     assert s.gated_at(123) == frozenset()
-    assert s.active_at(0, 4) == [0, 1, 2, 3]
+    assert s.change_points == ()

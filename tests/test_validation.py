@@ -42,8 +42,8 @@ def test_wormhole_checker_detects_gap():
     net = fresh_net()
     flits = make_packet(1, 0, 5, 4)
     vc = net.routers[0].ivc[Direction.LOCAL][0]
-    vc.push(flits[0], 0)
-    vc.push(flits[2], 0)  # skipped flit 1
+    vc.buffer.append(flits[0])
+    vc.buffer.append(flits[2])  # skipped flit 1
     v = wormhole_violations(net)
     assert any(tag == "order" for tag, *_ in v)
 
@@ -53,7 +53,7 @@ def test_wormhole_checker_detects_interleaving():
     a = make_packet(1, 0, 5, 2)
     b = make_packet(2, 0, 6, 2)
     vc = net.routers[0].ivc[Direction.LOCAL][0]
-    vc.push(a[0], 0)
+    vc.buffer.append(a[0])
     vc.buffer.append(b[0])  # head of b before tail of a
     v = wormhole_violations(net)
     assert any(tag == "boundary" for tag, *_ in v)
